@@ -3,8 +3,8 @@
 Builds trivalent 3-face-colourable lattices (toric honeycombs and
 {8,3}-family closed hyperbolic tilings), fine-grains them into
 semi-hyperbolic codes, partitions them over fixed-size processors,
-compiles noisy pair-measurement memory circuits, samples and decodes
-them, and fits threshold / error-suppression figures of merit.
+compiles noisy pair-measurement memory circuits, and samples and decodes
+them.
 """
 
 from floqnet.lattice import (
@@ -40,17 +40,6 @@ from floqnet.decode import (
     decode_batch,
     shortest_graphlike_error,
 )
-from floqnet.analysis import (
-    LerEstimate,
-    LambdaFit,
-    per_round_rate,
-    physical_baseline,
-    estimate_ler,
-    fit_lambda,
-    pseudo_threshold_sweep,
-    megaquop_requirements,
-    bell_wait_cycles_from_efficiency,
-)
 
 __all__ = [
     "Lattice",
@@ -81,15 +70,6 @@ __all__ = [
     "decode_syndrome",
     "decode_batch",
     "shortest_graphlike_error",
-    "LerEstimate",
-    "LambdaFit",
-    "per_round_rate",
-    "physical_baseline",
-    "estimate_ler",
-    "fit_lambda",
-    "pseudo_threshold_sweep",
-    "megaquop_requirements",
-    "bell_wait_cycles_from_efficiency",
 ]
 
 __version__ = "0.1.0"

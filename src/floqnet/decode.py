@@ -2,27 +2,31 @@
 
 Defects (odd detectors) are paired along shortest paths of the decoding
 graph; the predicted observable flip is the XOR of edge masks along the
-matched paths.  The pairing is exact: a k-nearest-neighbour candidate graph
-is solved per connected component by the blossom algorithm, and the result
-is certified optimal for the complete defect graph through dual
-feasibility of every excluded pair; violations add edges and re-solve.
+matched paths.  Edge weights are log-likelihood ratios scaled to integers,
+so the blossom solver's optimality is exact rather than floating-point.
 
-Single-detector mechanisms (the experiment's time boundaries) enter through
-a virtual boundary: every defect gets a boundary image it may match into,
-and images pair off among themselves at zero cost.  A defect set that
-cannot be fully paired (odd parity in an isolated component) is a hard
-error, matching the closed-surface contract.
+The pairing is exact over all defect pairs.  One Dijkstra from every defect
+and from a virtual boundary gives every distance, and one minimum-weight
+perfect matching is solved on the defects and their boundary images.
+Single-detector mechanisms (the experiment's time boundaries) end at the
+virtual boundary: a defect may match its own image at its boundary
+distance, and images pair off among themselves at zero cost.  A pair with
+no connecting path gets no edge, so a defect set that cannot be fully
+paired (odd parity in a component without boundary edges) raises
+``DecodeError``, matching the closed-surface contract.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from floqnet.matching import MatchingInfeasibleError, max_weight_matching
+from floqnet.matching import MatchingInfeasibleError, min_weight_perfect_matching
 from floqnet.sim import DecodingGraph, ShotBatch
 
 __all__ = [
@@ -51,9 +55,8 @@ class MatchingResult:
 class DecoderContext:
     """Precomputed geometry of a decoding graph, shared across shots."""
 
-    def __init__(self, graph: DecodingGraph, knn: int = 10):
+    def __init__(self, graph: DecodingGraph):
         self.graph = graph
-        self.knn = knn
         self.n_det = graph.n_detectors
         self.n_obs = graph.n_observables
         self.boundary = self.n_det
@@ -87,19 +90,17 @@ class DecoderContext:
         self.csr = sp.csr_matrix(
             (vals, (rows, cols)), shape=(n_nodes, n_nodes), dtype=np.float64
         )
-        self.adj_max = max(self.edge_weight.values()) if self.edge_weight else 1
 
-    def distances_from(self, defects: np.ndarray, limit: float):
-        """Truncated Dijkstra from each defect and from the virtual boundary."""
+    def distances_from(self, defects: np.ndarray):
+        """Dijkstra from each defect and, last, from the virtual boundary.
+
+        Returns (dist, pred), each with one row per source.  Distances are
+        sums of integer edge weights, exact in float64.
+        """
         src = np.concatenate([defects, [self.boundary]]).astype(np.int64)
-        dist, pred = csgraph.dijkstra(
-            self.csr,
-            directed=False,
-            indices=src,
-            return_predecessors=True,
-            limit=limit,
+        return csgraph.dijkstra(
+            self.csr, directed=False, indices=src, return_predecessors=True
         )
-        return dist, pred
 
     def path_mask(self, pred_row: np.ndarray, target: int) -> int:
         mask = 0
@@ -114,175 +115,29 @@ class DecoderContext:
         return mask
 
 
-def _solve_component(nodes, iw, ib, edge_set, m):
-    """Blossom solve of one candidate component (defects + their images).
-
-    nodes: defect indices in this component.  Returns (mate over local ids,
-    duals, big, local index maps).
-    """
-    loc = {d: i for i, d in enumerate(nodes)}
-    k = len(nodes)
-    elist = []
-    for (i, j) in sorted(edge_set):
-        elist.append((loc[i], loc[j], int(iw[i, j])))
-    for d in nodes:
-        if ib[d] >= 0:
-            elist.append((loc[d], k + loc[d], int(ib[d])))
-    for a in range(k):
-        for b in range(a + 1, k):
-            elist.append((k + a, k + b, 0))
-    wmax_local = max([1] + [w for (_, _, w) in elist])
-    big = 2 * (2 * k) * wmax_local + 1
-    flipped = [(i, j, big - w) for (i, j, w) in elist]
-    mate, duals = max_weight_matching(
-        2 * k, flipped, maxcardinality=True, return_duals=True
-    )
-    if any(v == -1 for v in mate):
-        raise MatchingInfeasibleError("component defects cannot be fully paired")
-    return mate, duals, big, loc
-
-
 def _match_defects(ctx: DecoderContext, defects: np.ndarray):
-    """Exact minimum-weight pairing over the complete defect graph.
+    """Exact minimum-weight pairing of the defects, boundary included.
 
-    Returns (pairing as list of ('pair', i, j) / ('boundary', i), the int
-    distance matrix, boundary costs, predecessor rows).
+    Vertex i of the matching graph is defect i and vertex m + i its
+    boundary image.  Edges: defect-defect at the shortest-path weight,
+    defect-own image at the boundary distance, each where a path exists,
+    and image-image at weight 0.  Returns (matches, dist, pred): matches
+    lists (i, j) with i < j, where j < m is a defect and j == m the
+    boundary; dist[j, defects[i]] is the match's integer weight and
+    pred[j] the shortest-path tree that traces it.
+
+    Raises MatchingInfeasibleError when no perfect matching exists.
     """
     m = len(defects)
-    n_nodes = ctx.n_det + 1
-    radius = 16.0 * ctx.adj_max
-    while True:
-        dist, pred = ctx.distances_from(defects, limit=radius)
-        full = radius >= ctx.adj_max * n_nodes + 1
-        ddist = dist[:m][:, defects]
-        bdist = dist[m][defects]
-
-        iw = np.full((m, m), -1, dtype=np.int64)
-        finite = np.isfinite(ddist)
-        np.fill_diagonal(finite, False)
-        iw[finite] = np.round(ddist[finite]).astype(np.int64)
-        ib = np.full(m, -1, dtype=np.int64)
-        bfin = np.isfinite(bdist)
-        ib[bfin] = np.round(bdist[bfin]).astype(np.int64)
-        radius_int = int(np.floor(radius))
-
-        # k nearest candidate neighbours per defect
-        edge_set: set[tuple[int, int]] = set()
-        for i in range(m):
-            nbrs = np.nonzero(iw[i] >= 0)[0]
-            if nbrs.size:
-                order = nbrs[np.argsort(iw[i][nbrs], kind="stable")]
-                for j in order[: ctx.knn]:
-                    edge_set.add((min(i, int(j)), max(i, int(j))))
-
-        try:
-            result = _certified_match(ctx, m, iw, ib, edge_set, radius_int, full)
-        except (_RadiusTooSmall, MatchingInfeasibleError) as exc:
-            if full:
-                if isinstance(exc, MatchingInfeasibleError):
-                    raise
-                raise MatchingInfeasibleError(str(exc))
-            radius *= 4.0
-            continue
-        return result, iw, ib, pred
-
-
-class _RadiusTooSmall(Exception):
-    pass
-
-
-def _certified_match(ctx, m, iw, ib, edge_set, radius_int, full):
-    for _ in range(80):
-        # connected components of the candidate structure; boundary images
-        # tie all boundary-capable defects together
-        parent = list(range(m))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for (i, j) in edge_set:
-            union(i, j)
-        bcap = [i for i in range(m) if ib[i] >= 0]
-        for t in range(1, len(bcap)):
-            union(bcap[0], bcap[t])
-        comps: dict[int, list[int]] = {}
-        for i in range(m):
-            comps.setdefault(find(i), []).append(i)
-
-        pairing = []
-        duals_full = np.zeros(m, dtype=np.int64)
-        duals_img = np.zeros(m, dtype=np.int64)
-        bigs = np.zeros(m, dtype=np.int64)
-        for nodes in comps.values():
-            nodeset = set(nodes)
-            sub_edges = {(i, j) for (i, j) in edge_set if i in nodeset}
-            mate, duals, big, loc = _solve_component(nodes, iw, ib, sub_edges, m)
-            k = len(nodes)
-            inv = {v: d for d, v in loc.items()}
-            for d in nodes:
-                li = loc[d]
-                duals_full[d] = duals[li]
-                duals_img[d] = duals[k + li]
-                bigs[d] = big
-                pj = mate[li]
-                if pj < k:
-                    other = inv[pj]
-                    if d < other:
-                        pairing.append(("pair", d, other))
-                else:
-                    pairing.append(("boundary", d))
-
-        # dual feasibility over every excluded pair:
-        #   y_i + y_j >= 2*(big - w_ij)  <=>  w_ij >= big - (y_i + y_j)/2.
-        # Components were solved with their own offsets, so compare against
-        # the larger of the two (a valid common offset re-centres duals).
-        viol = set()
-        ys = duals_full
-        big_pair = np.maximum(bigs[:, None], bigs[None, :])
-        need = 2 * big_pair - (ys[:, None] + ys[None, :])
-        known = iw >= 0
-        bad = known & (2 * iw < need)
-        for i, j in np.argwhere(bad):
-            if i < j and (int(i), int(j)) not in edge_set:
-                viol.add((int(i), int(j)))
-        if not full:
-            # unknown pairs have true distance > radius
-            unknown_ok = (2 * radius_int) >= need.max() if m > 1 else True
-            if not unknown_ok:
-                unk = ~known
-                np.fill_diagonal(unk, False)
-                if (unk & (2 * radius_int < need)).any():
-                    raise _RadiusTooSmall()
-        # boundary-image zero edges across components
-        if len(comps) > 1:
-            imgs = np.array(bcap, dtype=np.int64)
-            if imgs.size > 1:
-                yi = duals_img[imgs]
-                bb = np.maximum.outer(bigs[imgs], bigs[imgs])
-                need_img = 2 * bb - (yi[:, None] + yi[None, :])
-                bad_img = need_img > 0
-                np.fill_diagonal(bad_img, False)
-                if bad_img.any():
-                    for a, b in np.argwhere(bad_img):
-                        if a < b:
-                            ia, jb = int(imgs[a]), int(imgs[b])
-                            lo, hi = min(ia, jb), max(ia, jb)
-                            if iw[lo, hi] >= 0:
-                                viol.add((lo, hi))
-                            else:
-                                raise _RadiusTooSmall()
-        if not viol:
-            return pairing
-        edge_set |= viol
-    raise MatchingInfeasibleError("certificate loop did not converge")
+    dist, pred = ctx.distances_from(defects)
+    d = dist[:, defects].tolist()  # d[j][i]: from defect j (boundary if j == m) to i
+    pairs = list(itertools.combinations(range(m), 2))
+    edges = [(i, j, int(d[i][j])) for i, j in pairs if math.isfinite(d[i][j])]
+    edges += [(i, m + i, int(d[m][i])) for i in range(m) if math.isfinite(d[m][i])]
+    edges += [(m + i, m + j, 0) for i, j in pairs]
+    mate = min_weight_perfect_matching(2 * m, edges)
+    matches = [(i, min(mate[i], m)) for i in range(m) if mate[i] > i]
+    return matches, dist, pred
 
 
 def decode_syndrome(
@@ -296,8 +151,7 @@ def decode_syndrome(
     if syndrome.shape[0] != ctx.n_det:
         raise DecodeError("syndrome length does not match detector count")
     defects = np.nonzero(syndrome)[0]
-    m = len(defects)
-    if m == 0:
+    if len(defects) == 0:
         return MatchingResult(
             prediction=np.zeros(ctx.n_obs, dtype=np.uint8),
             matched_pairs=(),
@@ -306,27 +160,21 @@ def decode_syndrome(
     if graph.n_edges == 0:
         raise DecodeError("nonempty syndrome on an empty decoding graph")
     try:
-        pairing, iw, ib, pred = _match_defects(ctx, defects)
+        matches, dist, pred = _match_defects(ctx, defects)
     except MatchingInfeasibleError as exc:
         raise DecodeError(
             f"odd defect parity in a connected component: {exc}"
         ) from exc
 
-    defect_pos = {int(d): i for i, d in enumerate(defects)}
+    m = len(defects)
     mask_total = 0
     pairs = []
     weight = 0
-    for item in pairing:
-        if item[0] == "pair":
-            i, j = item[1], item[2]
-            mask_total ^= ctx.path_mask(pred[i], int(defects[j]))
-            pairs.append((int(defects[i]), int(defects[j])))
-            weight += int(iw[i, j])
-        else:
-            i = item[1]
-            mask_total ^= ctx.path_mask(pred[m], int(defects[i]))
-            pairs.append((-1, int(defects[i])))
-            weight += int(ib[i])
+    for i, j in matches:
+        target = int(defects[i])
+        mask_total ^= ctx.path_mask(pred[j], target)
+        weight += int(dist[j, target])
+        pairs.append((target, int(defects[j])) if j < m else (-1, target))
     prediction = np.zeros(ctx.n_obs, dtype=np.uint8)
     for k in range(ctx.n_obs):
         prediction[k] = (mask_total >> k) & 1

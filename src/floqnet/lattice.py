@@ -846,15 +846,10 @@ def load_lattice(source: str | Path) -> Lattice:
         text = p.read_text(encoding="utf-8")
     lat = _parse_lattice_text(text)
     validate_lattice(lat, require_colors=False)
-    has_any_color = any(f.color is not None for f in lat.faces) or any(
-        e.color is not None for e in lat.edges
-    )
     if all(f.color is not None for f in lat.faces):
         validate_lattice(lat, require_colors=True)
         return lat
-    if has_any_color and not all(f.color is not None for f in lat.faces):
-        # partial colourings are completed by search (pre-assignments respected)
-        pass
+    # partial colourings are completed by search (pre-assignments respected)
     return color_faces(lat)
 
 

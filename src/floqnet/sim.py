@@ -232,15 +232,6 @@ class DecodingGraph:
         p = np.clip(self.probability, 1e-300, 0.5 - 1e-12)
         return -np.log(p / (1.0 - p))
 
-    def edge_syndromes(self) -> list[frozenset]:
-        out = []
-        for a, b in zip(self.det1, self.det2):
-            s = {int(a)}
-            if b >= 0:
-                s.add(int(b))
-            out.append(frozenset(s))
-        return out
-
 
 def _compose(p1: float, p2: float) -> float:
     return p1 * (1 - p2) + p2 * (1 - p1)

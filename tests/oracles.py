@@ -67,6 +67,8 @@ class StatevectorSim:
 def brute_force_min_weight(weights, syndromes, obs_masks, target_syndrome, max_size):
     """Minimum-weight subset of mechanisms producing a target syndrome.
 
+    Every subset of at most max_size mechanisms is tried; with non-uniform
+    weights a larger subset can be lighter, so no size is skipped.
     Returns (min_weight, set of achievable observable masks at that weight),
     or (None, set()) when nothing within max_size matches.
     """
@@ -88,6 +90,4 @@ def brute_force_min_weight(weights, syndromes, obs_masks, target_syndrome, max_s
                     masks = {obs}
                 elif abs(w - best) <= 1e-12:
                     masks.add(obs)
-        if best is not None:
-            break
     return best, masks

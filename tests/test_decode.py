@@ -1,0 +1,152 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from floqnet.circuit import NoiseParams, build_memory_circuit
+from floqnet.decode import (
+    DecodeError,
+    DecoderContext,
+    decode_batch,
+    decode_syndrome,
+)
+from floqnet.lattice import generate_honeycomb_torus
+from floqnet.sim import DecodingGraph, sample_shots, extract_decoding_graph
+from oracles import brute_force_min_weight
+
+
+def _graph(n_det, mechanisms, n_obs=2):
+    """Graph from (det1, det2, weight, obs_mask); det2 = -1 is a boundary edge."""
+    a, b, w, obs = zip(*mechanisms)
+    p = 1.0 / (1.0 + np.exp(np.asarray(w, dtype=np.float64)))
+    return DecodingGraph(
+        n_detectors=n_det,
+        n_observables=n_obs,
+        det1=np.asarray(a, dtype=np.int32),
+        det2=np.asarray(b, dtype=np.int32),
+        probability=p,
+        obs_mask=np.asarray(obs, dtype=np.uint64),
+    )
+
+
+def _assert_exact(graph, syndrome):
+    """decode_syndrome agrees with brute force over every mechanism subset."""
+    syndromes = [
+        (1 << int(a)) | ((1 << int(b)) if b >= 0 else 0)
+        for a, b in zip(graph.det1, graph.det2)
+    ]
+    target = sum(1 << int(d) for d in np.flatnonzero(syndrome))
+    want, masks = brute_force_min_weight(
+        graph.weights.tolist(),
+        syndromes,
+        [int(o) for o in graph.obs_mask],
+        target,
+        graph.n_edges,
+    )
+    if want is None:
+        with pytest.raises(DecodeError):
+            decode_syndrome(graph, syndrome)
+        return
+    got = decode_syndrome(graph, syndrome)
+    # integer scaling rounds each edge weight by at most half a unit
+    tol = graph.n_edges * graph.weights.max() / 2**20
+    assert got.total_weight == pytest.approx(want, abs=tol)
+    mask = sum(int(bit) << k for k, bit in enumerate(got.prediction))
+    assert mask in masks
+
+
+# boundary - 0 - 1 - 2 - boundary, with a cheap detour 0 - 2 and a
+# parallel 1 - 2 edge that flips the other observable
+_CHAIN = [
+    (0, -1, 2, 1),
+    (0, 1, 1, 0),
+    (1, 2, 1, 2),
+    (1, 2, 3, 1),
+    (2, -1, 3, 0),
+    (0, 2, 3, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "syndrome",
+    [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+)
+def test_decode_syndrome_exact_on_chain(syndrome):
+    _assert_exact(_graph(3, _CHAIN), np.array(syndrome, dtype=np.uint8))
+
+
+def test_decode_syndrome_exact_on_disconnected_components():
+    # component {0, 1, 2} reaches the boundary; component {3, 4} does not
+    mechs = [(0, 1, 2, 1), (1, 2, 2, 0), (2, -1, 1, 2), (3, 4, 4, 3), (3, 4, 2, 1)]
+    graph = _graph(5, mechs)
+    for bits in range(1, 1 << 5):
+        syndrome = np.array([(bits >> d) & 1 for d in range(5)], dtype=np.uint8)
+        _assert_exact(graph, syndrome)
+
+
+def test_decode_syndrome_reports_pairs_and_boundary():
+    graph = _graph(3, _CHAIN)
+    got = decode_syndrome(graph, np.array([1, 1, 1], dtype=np.uint8))
+    assert got.matched_pairs == ((-1, 0), (1, 2))
+    assert got.total_weight == pytest.approx(3.0)
+    assert got.prediction.tolist() == [1, 1]
+
+
+@st.composite
+def _graphs_and_syndromes(draw):
+    n_det = draw(st.integers(min_value=1, max_value=6))
+    mechs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=9))):
+        a = draw(st.integers(min_value=0, max_value=n_det - 1))
+        b = draw(st.integers(min_value=-1, max_value=n_det - 1).filter(lambda b: b != a))
+        w = draw(st.integers(min_value=1, max_value=5))
+        obs = draw(st.integers(min_value=0, max_value=3))
+        mechs.append((a, b, w, obs))
+    syndrome = draw(st.lists(st.booleans(), min_size=n_det, max_size=n_det))
+    return _graph(n_det, mechs), np.array(syndrome, dtype=np.uint8)
+
+
+@given(_graphs_and_syndromes())
+@settings(max_examples=300, deadline=None)
+def test_decode_syndrome_exact_against_brute_force(case):
+    _assert_exact(*case)
+
+
+def test_decode_batch_matches_per_shot_decoding():
+    lat = generate_honeycomb_torus(3, 3)
+    circuit = build_memory_circuit(lat, None, NoiseParams(0.01, 0.01), 2)
+    graph = extract_decoding_graph(circuit)
+    batch = sample_shots(circuit, seed=7, shots=300)
+    # the batch repeats syndromes, so the per-call cache is exercised
+    assert len({row.tobytes() for row in batch.detectors}) < batch.shots
+    ctx = DecoderContext(graph)
+    preds, errors = decode_batch(graph, batch, ctx)
+    want = np.array([decode_syndrome(graph, row, ctx).prediction for row in batch.detectors])
+    np.testing.assert_array_equal(preds, want)
+    np.testing.assert_array_equal(errors, (want != batch.observables).sum(axis=0))
+
+
+def _empty_graph(n_det):
+    return DecodingGraph(
+        n_detectors=n_det,
+        n_observables=1,
+        det1=np.zeros(0, dtype=np.int32),
+        det2=np.zeros(0, dtype=np.int32),
+        probability=np.zeros(0),
+        obs_mask=np.zeros(0, dtype=np.uint64),
+    )
+
+
+@pytest.mark.parametrize(
+    "graph, syndrome",
+    [
+        (_graph(3, _CHAIN), [1, 0, 0, 0]),
+        (_empty_graph(3), [0, 1, 0]),
+        # odd defect count in the component {0, 1}, which has no boundary edge
+        (_graph(3, [(0, 1, 1, 1), (2, -1, 1, 0)]), [1, 0, 1]),
+    ],
+    ids=["wrong-length", "empty-graph", "odd-component"],
+)
+def test_decode_syndrome_rejects_bad_input(graph, syndrome):
+    with pytest.raises(DecodeError):
+        decode_syndrome(graph, np.array(syndrome, dtype=np.uint8))
