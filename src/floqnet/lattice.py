@@ -6,10 +6,11 @@ data qubits, edges carry two-qubit checks, and faces carry the inferred
 stabilisers.  Faces are properly 3-coloured and the colour of an edge is
 the unique colour absent from its two incident faces.
 
-Supported families: toric honeycombs ({6,3}) generated directly, and
-closed {8,3} tilings loaded from fixture files.  Fine-graining subdivides
-the dual triangulation and re-dualises, multiplying the qubit count by f²
-while preserving the genus.
+Toric honeycombs ({6,3}) are generated directly; any other closed tiling,
+such as an {8,3} one, is loaded from lattice text or a file.  No lattice
+fixtures ship with the package yet, so a bare fixture name such as 'h64'
+raises LatticeError.  Fine-graining subdivides the dual triangulation and
+re-dualises, multiplying the qubit count by f² while preserving the genus.
 """
 
 from __future__ import annotations
@@ -854,7 +855,7 @@ def load_lattice(source: str | Path) -> Lattice:
 
 
 def fixture_path(name: str) -> Optional[Path]:
-    """Path of a packaged lattice fixture ('h64', 'h144', 'h400', ...)."""
+    """Path of a packaged lattice fixture, or None where there is none."""
     base = name.lower()
     if not base.endswith(".lattice"):
         base = base + ".lattice"

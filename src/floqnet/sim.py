@@ -6,6 +6,20 @@ counter-based Philox streams keyed on (seed, noise-annotation index, shot
 chunk), making batches bitwise reproducible for a fixed (circuit, seed,
 shots).
 
+The sampler is bit-packed, as in stim (Gidney, arXiv:2103.02202).  One call
+compiles the instruction list once into flat index arrays, then works
+through the shots in chunks of _CHUNK.  A chunk keeps 64 shots per uint64
+word: a (2 * n_qubits, words) frame array, X components in rows 0..n-1 and
+Z components in rows n..2n-1, and an (n_records, words) array of record
+flips.  Resets clear frame rows; noise events XOR single bits into them; a
+measured product's flip is the XOR of the frame rows it anticommutes with.
+Detector and observable parities are XORs of record rows, taken once at the
+end of the chunk in slices of bounded size, then unpacked into one uint8
+per shot.  The output equals, bit for bit, that of the unpacked loop kept
+as the reference in the test suite: the same streams are drawn in the same
+order, and each event maps to the same (shot, target).  A record that a
+detector or observable lists twice counts once.
+
 Graph extraction enumerates every Pauli term of every noise annotation,
 propagates it through the circuit, and merges identical detector/observable
 signatures by XOR-composition.  Terms that flip more than two detectors are
@@ -16,12 +30,12 @@ how matching decoders consume circuit noise.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from floqnet import gf2
 from floqnet.circuit import (
@@ -46,6 +60,9 @@ __all__ = [
 
 _CHUNK = 4096
 _DENSE_P = 0.05
+_SLICE_ROWS = 4096  # record rows gathered at once for detector parities
+_WORD = np.dtype("<u8")  # 64 shots per word, shot 64i + j at bit j of word i
+_CLEAR, _PAULI, _MEASURE = range(3)
 
 # pauli codes: bit0 = X component, bit1 = Z component
 _PCODE = {"X": 1, "Z": 2, "Y": 3}
@@ -108,105 +125,202 @@ def _sample_events(rng, n_cells: int, p: float, n_types: int):
     return pos, types
 
 
+def _index_lists(lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated int64 index lists, each list's start offset and size."""
+    sizes = np.fromiter((len(x) for x in lists), dtype=np.int64, count=len(lists))
+    flat = np.fromiter(
+        itertools.chain.from_iterable(lists), dtype=np.int64, count=int(sizes.sum())
+    )
+    starts = np.zeros(len(lists), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return flat, starts, sizes
+
+
+def _xor_rows(rows: np.ndarray, flat, starts, sizes) -> np.ndarray:
+    """Row i of the result is the XOR of rows[flat[starts[i] : starts[i] + sizes[i]]].
+
+    Empty lists give a zero row: reduceat would return rows[flat[starts[i]]]
+    for them, so only the non-empty lists are reduced.
+    """
+    out = np.zeros((len(sizes), rows.shape[1]), dtype=rows.dtype)
+    nonempty = sizes > 0
+    if flat.size:
+        out[nonempty] = np.bitwise_xor.reduceat(rows[flat], starts[nonempty], axis=0)
+    return out
+
+
+def _parity_slices(lists) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Split index lists into consecutive slices gathering at most _SLICE_ROWS rows.
+
+    Each slice is (first list, end list, flat, starts, sizes) with starts
+    relative to the slice, ready for _xor_rows.  A list longer than the
+    bound gets a slice of its own.
+    """
+    flat, starts, sizes = _index_lists(lists)
+    ends = starts + sizes
+    slices = []
+    lo = 0
+    while lo < len(lists):
+        base = starts[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _SLICE_ROWS, "right")))
+        slices.append(
+            (lo, hi, flat[base : ends[hi - 1]], starts[lo:hi] - base, sizes[lo:hi])
+        )
+        lo = hi
+    return slices
+
+
+def _compile_sampler(circuit: CircuitProgram) -> tuple[list[tuple], list[tuple]]:
+    """Flatten the instruction list into index arrays for the packed kernel.
+
+    Frame rows 0..n-1 hold the X components of the n qubits and rows n..2n-1
+    their Z components.  Returns (ops, parity slices over record rows for the
+    detectors followed by the observables).  Noise ops carry the annotation
+    index that keys their random stream, counted in instruction order.
+    """
+    n = circuit.n_qubits
+    n_obs = circuit.n_observables
+    if not circuit.measurement_index_ok():
+        raise CircuitError("a detector or observable references a missing record")
+    obs_records: list[set[int]] = [set() for _ in range(n_obs)]
+    for obs in circuit.observables:
+        if not 0 <= obs.index < n_obs:
+            raise CircuitError(f"observable index {obs.index} outside [0, {n_obs})")
+        obs_records[obs.index].update(obs.records)
+    # a record listed twice counts once, as a set of records
+    parity_lists = [sorted(set(det.records)) for det in circuit.detectors]
+    parity_lists += [sorted(recs) for recs in obs_records]
+
+    ops: list[tuple] = []
+    qubits_seen: list[np.ndarray] = []
+    ann = 0
+    rec = 0
+    for instr in circuit.instructions:
+        if isinstance(instr, (Reset, BellPrep)):
+            targets = instr.targets if isinstance(instr, Reset) else instr.pairs
+            q = np.asarray(targets, dtype=np.int64).reshape(-1)
+            qubits_seen.append(q)
+            ops.append((_CLEAR, np.concatenate([q, q + n])))
+        elif isinstance(instr, (Depolarize1, Depolarize2)):
+            # one row per noise cell: a target qubit, or a pair of them
+            if isinstance(instr, Depolarize1):
+                cells = np.asarray(instr.targets, dtype=np.int64).reshape(-1, 1)
+            else:
+                cells = np.asarray(instr.pairs, dtype=np.int64).reshape(-1, 2)
+            qubits_seen.append(cells.reshape(-1))
+            ops.append((_PAULI, ann, instr.p, cells))
+            ann += 1
+        elif isinstance(instr, MeasurePP):
+            rows = []
+            for prod in instr.products:
+                row = []
+                for q, p in prod:
+                    code = _PCODE[p]
+                    if code & 2:  # Z component anticommutes with X frame
+                        row.append(q)
+                    if code & 1:  # X component anticommutes with Z frame
+                        row.append(q + n)
+                rows.append(row)
+            qubits_seen.append(
+                np.fromiter((q for prod in instr.products for q, _ in prod), np.int64)
+            )
+            nprod = len(rows)
+            ops.append((_MEASURE, ann, instr.flip_p, rec, nprod, *_index_lists(rows)))
+            ann += 1
+            rec += nprod
+        else:
+            raise CircuitError(f"unknown instruction {instr!r}")
+    if rec != circuit.n_records:
+        raise CircuitError(
+            f"instructions measure {rec} records, the circuit declares "
+            f"{circuit.n_records}"
+        )
+    if qubits_seen:
+        q = np.concatenate(qubits_seen)
+        if q.size and (q.min() < 0 or q.max() >= n):
+            raise CircuitError(f"an instruction targets a qubit outside [0, {n})")
+    return ops, _parity_slices(parity_lists)
+
+
+def _flip(words: np.ndarray, rows: np.ndarray, shots: np.ndarray) -> None:
+    """XOR a one into bit (row, shot) of a packed (rows, words) array per event.
+
+    ufunc.at, because several events can land in the same word.
+    """
+    flat = words.reshape(-1)
+    idx = rows * words.shape[1] + (shots >> 6)
+    np.bitwise_xor.at(flat, idx, np.uint64(1) << (shots & 63).astype(np.uint64))
+
+
 def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
     """Sample detector and observable frame bits under the annotated noise.
 
     Deterministic for fixed (circuit, seed, shots); all-zero output for a
-    noiseless circuit.
+    noiseless circuit.  Raises CircuitError when a detector or observable
+    references a missing record, an observable index is out of range or an
+    instruction targets a qubit the circuit does not have.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
+    ops, slices = _compile_sampler(circuit)
     circuit.ensure_reference()
+    n = circuit.n_qubits
     n_det = circuit.n_detectors
     n_obs = circuit.n_observables
-
-    rec_det = sp.lil_matrix((circuit.n_records, max(n_det, 1)), dtype=np.uint8)
-    for d, det in enumerate(circuit.detectors):
-        for r in det.records:
-            rec_det[r, d] = 1
-    rec_obs = sp.lil_matrix((circuit.n_records, max(n_obs, 1)), dtype=np.uint8)
-    for obs in circuit.observables:
-        for r in obs.records:
-            rec_obs[r, obs.index] = 1
-    rec_det = rec_det.tocsr()
-    rec_obs = rec_obs.tocsr()
 
     det_out = np.zeros((shots, n_det), dtype=np.uint8)
     obs_out = np.zeros((shots, n_obs), dtype=np.uint8)
 
     for chunk_idx, lo in enumerate(range(0, shots, _CHUNK)):
-        hi = min(lo + _CHUNK, shots)
-        w = hi - lo
-        fx = np.zeros((w, circuit.n_qubits), dtype=np.uint8)
-        fz = np.zeros((w, circuit.n_qubits), dtype=np.uint8)
-        det_acc = np.zeros((w, max(n_det, 1)), dtype=np.uint8)
-        obs_acc = np.zeros((w, max(n_obs, 1)), dtype=np.uint8)
-        ann = 0
-        rec = 0
-        for instr in circuit.instructions:
-            if isinstance(instr, Reset):
-                t = list(instr.targets)
-                fx[:, t] = 0
-                fz[:, t] = 0
-            elif isinstance(instr, BellPrep):
-                t = [q for pair in instr.pairs for q in pair]
-                fx[:, t] = 0
-                fz[:, t] = 0
-            elif isinstance(instr, Depolarize1):
+        w = min(_CHUNK, shots - lo)
+        n_words = -(-w // 64)
+        frame = np.zeros((2 * n, n_words), dtype=_WORD)
+        flips = np.zeros((circuit.n_records, n_words), dtype=_WORD)
+        for op in ops:
+            kind = op[0]
+            if kind == _CLEAR:
+                frame[op[1]] = 0
+            elif kind == _PAULI:
+                _, ann, p, cells = op
+                if p <= 0 or not cells.size:
+                    continue
+                n_cells, k = cells.shape
                 rng = _annotation_rng(seed, ann, chunk_idx)
-                ann += 1
-                nt = len(instr.targets)
-                pos, types = _sample_events(rng, w * nt, instr.p, 3)
-                if pos.size:
-                    srow = pos // nt
-                    qcol = np.asarray(instr.targets, dtype=np.int64)[pos % nt]
-                    code = types + 1  # 1=X, 2=Z, 3=Y
-                    fx[srow, qcol] ^= (code & 1).astype(np.uint8)
-                    fz[srow, qcol] ^= (code >> 1).astype(np.uint8)
-            elif isinstance(instr, Depolarize2):
-                rng = _annotation_rng(seed, ann, chunk_idx)
-                ann += 1
-                npair = len(instr.pairs)
-                pos, types = _sample_events(rng, w * npair, instr.p, 15)
-                if pos.size:
-                    srow = pos // npair
-                    pair_idx = pos % npair
-                    pairs = np.asarray(instr.pairs, dtype=np.int64)
-                    q1 = pairs[pair_idx, 0]
-                    q2 = pairs[pair_idx, 1]
-                    code = types + 1  # 1..15, (c1, c2) = (code >> 2, code & 3)
-                    c1 = code >> 2
-                    c2 = code & 3
-                    fx[srow, q1] ^= (c1 & 1).astype(np.uint8)
-                    fz[srow, q1] ^= (c1 >> 1).astype(np.uint8)
-                    fx[srow, q2] ^= (c2 & 1).astype(np.uint8)
-                    fz[srow, q2] ^= (c2 >> 1).astype(np.uint8)
-            elif isinstance(instr, MeasurePP):
-                nprod = len(instr.products)
-                flips = np.zeros((w, nprod), dtype=np.uint8)
-                for j, prod in enumerate(instr.products):
-                    acc = np.zeros(w, dtype=np.uint8)
-                    for q, p in prod:
-                        code = _PCODE[p]
-                        if code & 2:  # Z component anticommutes with X frame
-                            acc ^= fx[:, q]
-                        if code & 1:  # X component anticommutes with Z frame
-                            acc ^= fz[:, q]
-                    flips[:, j] = acc
-                rng = _annotation_rng(seed, ann, chunk_idx)
-                ann += 1
-                pos, _ = _sample_events(rng, w * nprod, instr.flip_p, 1)
-                if pos.size:
-                    flips[pos // nprod, pos % nprod] ^= 1
-                det_acc += flips @ rec_det[rec : rec + nprod]
-                obs_acc += flips @ rec_obs[rec : rec + nprod]
-                rec += nprod
+                pos, types = _sample_events(rng, w * n_cells, p, 4**k - 1)
+                if not pos.size:
+                    continue
+                shot = np.tile(pos // n_cells, k)
+                qubit = cells[pos % n_cells].T.reshape(-1)
+                # types + 1 holds one 2-bit Pauli per qubit, the first qubit
+                # in the high bits; bit0 = X, bit1 = Z
+                shifts = np.arange(2 * (k - 1), -1, -2)[:, None]
+                pauli = (((types + 1) >> shifts) & 3).reshape(-1)
+                x = (pauli & 1).astype(bool)
+                z = (pauli & 2).astype(bool)
+                _flip(
+                    frame,
+                    np.concatenate([qubit[x], qubit[z] + n]),
+                    np.concatenate([shot[x], shot[z]]),
+                )
             else:
-                raise CircuitError(f"unknown instruction {instr!r}")
-        if n_det:
-            det_out[lo:hi] = det_acc[:, :n_det] & 1
-        if n_obs:
-            obs_out[lo:hi] = obs_acc[:, :n_obs] & 1
+                _, ann, flip_p, rec, nprod, flat, starts, sizes = op
+                flips[rec : rec + nprod] = _xor_rows(frame, flat, starts, sizes)
+                if flip_p <= 0 or not nprod:
+                    continue
+                rng = _annotation_rng(seed, ann, chunk_idx)
+                pos, _ = _sample_events(rng, w * nprod, flip_p, 1)
+                if pos.size:
+                    _flip(flips, rec + pos % nprod, pos // nprod)
+        bits = np.empty((n_det + n_obs, n_words), dtype=_WORD)
+        for a, b, flat, starts, sizes in slices:
+            bits[a:b] = _xor_rows(flips, flat, starts, sizes)
+        # little-endian words: bit j of byte i is shot 8i + j, so row i of
+        # the transposed bytes unpacks into output rows 8i + j, j = 0..7
+        by = np.ascontiguousarray(bits.view(np.uint8).T)
+        for out, cols in ((det_out, by[:, :n_det]), (obs_out, by[:, n_det:])):
+            for j in range(8):
+                dst = out[lo + j : lo + w : 8]
+                np.bitwise_and(cols[: len(dst)] >> j, 1, out=dst)
     return ShotBatch(shots=shots, seed=seed, detectors=det_out, observables=obs_out)
 
 
@@ -488,11 +602,21 @@ def save_shot_batch(batch: ShotBatch, path: str | Path) -> None:
 
 
 def load_shot_batch(path: str | Path) -> ShotBatch:
+    """Read a batch written by save_shot_batch.
+
+    Raises ValueError when the payload length disagrees with the header.
+    """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         raw = fh.read()
     n_bits = header["n_detectors"] + header["n_observables"]
     row_bytes = (n_bits + 7) // 8
+    expected = header["shots"] * row_bytes
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: header promises {expected} payload bytes "
+            f"({header['shots']} shots x {row_bytes} bytes), file holds {len(raw)}"
+        )
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(header["shots"], row_bytes)
     rows = np.unpackbits(packed, axis=1)[:, :n_bits]
     return ShotBatch(

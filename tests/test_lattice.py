@@ -217,6 +217,12 @@ def test_load_rejects_genus_mismatch():
         load_lattice(text)
 
 
+def test_load_missing_fixture_raises(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no file named h64 in the working directory
+    with pytest.raises(LatticeError, match="h64"):
+        load_lattice("h64")
+
+
 def test_self_adjacent_face_not_colorable():
     # two hexagonal faces glued into a torus-like strip where a face meets
     # itself is impossible here; instead check the digon sphere: 3 faces,
