@@ -128,6 +128,12 @@ class CircuitProgram:
     n_records: int
     reference: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     metadata: dict = field(default_factory=dict, compare=False, repr=False)
+    # the sampler's compiled index arrays, with the instruction, detector and
+    # observable tuples they were compiled from; not an init field, so that
+    # dataclasses.replace never carries it into a copy with other contents
+    kernel_cache: Optional[tuple] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def measurement_index_ok(self) -> bool:
         for det in self.detectors:

@@ -66,21 +66,6 @@ def gf2_in_rowspace(v: np.ndarray, A: np.ndarray) -> bool:
     return gf2_rank(A) == gf2_rank(np.vstack([A, v]))
 
 
-def gf2_solve(A: np.ndarray, b: np.ndarray):
-    """One solution x of A x = b over GF(2), or None if infeasible."""
-    A = (np.asarray(A) & 1).astype(np.uint8)
-    b = (np.asarray(b).reshape(-1) & 1).astype(np.uint8)
-    m, n = A.shape
-    aug = np.concatenate([A, b[:, None]], axis=1)
-    R, pivots = gf2_rref(aug)
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.uint8)
-    for r, c in enumerate(pivots):
-        x[c] = R[r, n]
-    return x
-
-
 def gf2_intersection(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Basis (rows) of rowspace(A) ∩ rowspace(B)."""
     A = gf2_rowspace_basis(A)

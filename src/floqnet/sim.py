@@ -6,38 +6,48 @@ counter-based Philox streams keyed on (seed, noise-annotation index, shot
 chunk), making batches bitwise reproducible for a fixed (circuit, seed,
 shots).
 
-The sampler is bit-packed, as in stim (Gidney, arXiv:2103.02202).  One call
-compiles the instruction list once into flat index arrays, then works
-through the shots in chunks of _CHUNK.  A chunk keeps 64 shots per uint64
-word: a (2 * n_qubits, words) frame array, X components in rows 0..n-1 and
-Z components in rows n..2n-1, and an (n_records, words) array of record
-flips.  Resets clear frame rows; noise events XOR single bits into them; a
-measured product's flip is the XOR of the frame rows it anticommutes with.
-Detector and observable parities are XORs of record rows, taken once at the
-end of the chunk in slices of bounded size, then unpacked into one uint8
-per shot.  The output equals, bit for bit, that of the unpacked loop kept
-as the reference in the test suite: the same streams are drawn in the same
-order, and each event maps to the same (shot, target).  A record that a
-detector or observable lists twice counts once.
+The sampler is bit-packed, as in stim (Gidney, arXiv:2103.02202).  The
+instruction list is compiled once into flat index arrays, which the program
+keeps for later calls, and the shots are worked through in chunks of
+_CHUNK.  A chunk keeps 64 shots per uint64 word: a (2 * n_qubits, words)
+frame array, X components in rows 0..n-1 and Z components in rows
+n..2n-1, and an (n_records, words) array of record flips.  Resets clear
+frame rows; noise events XOR single bits into them; a measured product's
+flip is the XOR of the frame rows it anticommutes with.  Detector and
+observable parities are XORs of record rows, taken once at the end of the
+chunk in slices of bounded size, then unpacked into one uint8 per shot.
+The output equals, bit for bit, that of the unpacked loop kept as the
+reference in the test suite: the same streams are drawn in the same order,
+and each event maps to the same (shot, target).  A record that a detector
+or observable lists twice counts once.
 
-Graph extraction enumerates every Pauli term of every noise annotation,
-propagates it through the circuit, and merges identical detector/observable
-signatures by XOR-composition.  Terms that flip more than two detectors are
-split into single-qubit X/Z constituents (and, for recorded-outcome flips,
-into equivalent constituent sets found by a local GF(2) solve), mirroring
-how matching decoders consume circuit noise.
+Graph extraction builds the detector error model from the same compiled
+ops, run over atom columns in place of shots.  Each column of the packed
+frame holds one deterministic single-qubit Pauli: an X and a Z per qubit of
+every noisy depolarising cell, and, for every product with a noisy
+outcome, a Pauli on its first qubit that anticommutes with it there,
+injected just before and just after the measurement.  A column's detector
+and observable bits are read through the sampler's parity slices.  A Pauli
+term of a depolarising channel is the XOR of its qubits' columns; a record
+flip is its record's detectors and observables, checked against the XOR of
+its before and after columns.  Terms that flip three or four detectors are
+split, in the style of stim, into two disjoint graph-like mechanisms that
+the circuit already has; a record flip that does not split so is split
+through its before and after atoms.  Anything else raises
+GraphExtractionError (see extract_decoding_graph).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from floqnet import gf2
 from floqnet.circuit import (
     BellPrep,
     CircuitError,
@@ -242,6 +252,22 @@ def _compile_sampler(circuit: CircuitProgram) -> tuple[list[tuple], list[tuple]]
     return ops, _parity_slices(parity_lists)
 
 
+def _compiled(circuit: CircuitProgram) -> tuple[list[tuple], list[tuple]]:
+    """_compile_sampler's output, kept on the program and compiled again
+    once its instruction, detector or observable tuple is another object,
+    or its qubit or record count changes."""
+    sources = (circuit.instructions, circuit.detectors, circuit.observables)
+    sizes = (circuit.n_qubits, circuit.n_records)
+    cache = circuit.kernel_cache
+    if (
+        cache is None
+        or any(a is not b for a, b in zip(cache[0], sources))
+        or cache[1] != sizes
+    ):
+        circuit.kernel_cache = cache = (sources, sizes, _compile_sampler(circuit))
+    return cache[2]
+
+
 def _flip(words: np.ndarray, rows: np.ndarray, shots: np.ndarray) -> None:
     """XOR a one into bit (row, shot) of a packed (rows, words) array per event.
 
@@ -262,7 +288,7 @@ def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    ops, slices = _compile_sampler(circuit)
+    ops, slices = _compiled(circuit)
     circuit.ensure_reference()
     n = circuit.n_qubits
     n_det = circuit.n_detectors
@@ -336,6 +362,8 @@ class DecodingGraph:
     det2: np.ndarray
     probability: np.ndarray  # float64
     obs_mask: np.ndarray  # uint64 bitmask over observables
+    # counts from extraction: terms, graph-like terms, splits, edges
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def n_edges(self) -> int:
@@ -351,232 +379,358 @@ def _compose(p1: float, p2: float) -> float:
     return p1 * (1 - p2) + p2 * (1 - p1)
 
 
-def _qubit_timelines(circuit: CircuitProgram):
-    """Per-qubit ordered event lists: measurement touches and reset barriers."""
-    timelines: list[list[tuple]] = [[] for _ in range(circuit.n_qubits)]
-    rec = 0
-    for instr in circuit.instructions:
-        if isinstance(instr, Reset):
-            for q in instr.targets:
-                timelines[q].append(("barrier",))
-        elif isinstance(instr, BellPrep):
-            for pair in instr.pairs:
-                for q in pair:
-                    timelines[q].append(("barrier",))
-        elif isinstance(instr, MeasurePP):
-            for prod in instr.products:
-                for q, p in prod:
-                    timelines[q].append(("meas", rec, _PCODE[p]))
-                rec += 1
-    return timelines
+def _bitset(dets) -> int:
+    return sum(1 << d for d in dets)
 
 
-def _atom_signatures(circuit: CircuitProgram, rec_dets, rec_obs):
-    """Signature of every (qubit, slot, X or Z) Pauli insertion.
+def _members(bits: int) -> tuple[int, ...]:
+    """The set bits of a detector bitset, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
 
-    sigs[q][i][pcode] is the (detector set, observable mask) flipped by a
-    Pauli placed just before the i-th event on qubit q; slot len(events) sits
-    after everything and is trivial.
+
+class _Signatures(NamedTuple):
+    """Detector lists and observable bitmasks of n items in CSR form: item k
+    flips the detectors dets[indptr[k] : indptr[k + 1]] (ascending) and the
+    observables set in masks[k]."""
+
+    indptr: np.ndarray
+    dets: np.ndarray
+    masks: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, n: int, item, par, n_det: int) -> "_Signatures":
+        """From (item, parity row) pairs sorted by item, then row; parity rows
+        n_det and up are observables, as in the sampler's parity slices."""
+        is_det = par < n_det
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(item[is_det], minlength=n), out=indptr[1:])
+        masks = np.zeros(n, dtype=np.uint64)
+        obs = ~is_det
+        bit = np.left_shift(np.uint64(1), (par[obs] - n_det).astype(np.uint64))
+        np.bitwise_or.at(masks, item[obs], bit)
+        return cls(indptr, par[is_det], masks)
+
+    def between(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """(detector bitset, observable mask) of items lo..hi-1."""
+        ptr = self.indptr[lo : hi + 1]
+        dets = self.dets[ptr[0] : ptr[-1]].tolist()
+        ptr = (ptr - ptr[0]).tolist()
+        masks = self.masks[lo:hi].tolist()
+        return [(_bitset(dets[ptr[k] : ptr[k + 1]]), masks[k]) for k in range(hi - lo)]
+
+
+class _Columns(NamedTuple):
+    """Atom columns in slot order: column c injects one single-qubit Pauli
+    into frame row row[c] at slot[c], where slot 2i is just before
+    instruction i and slot 2i + 1 just after it, and flips sigs' item c."""
+
+    slot: np.ndarray
+    row: np.ndarray
+    sigs: _Signatures
+
+
+def _record_signatures(circuit: CircuitProgram, slices) -> _Signatures:
+    """Each record's detectors and observables, read from the parity slices."""
+    par = [np.empty(0, dtype=np.int64)]
+    rec = [np.empty(0, dtype=np.int64)]
+    for a, b, flat, _, sizes in slices:
+        par.append(np.repeat(np.arange(a, b), sizes))
+        rec.append(flat)
+    par = np.concatenate(par)
+    rec = np.concatenate(rec)
+    order = np.lexsort((par, rec))
+    return _Signatures.from_pairs(
+        circuit.n_records, rec[order], par[order], circuit.n_detectors
+    )
+
+
+def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
+    """Run the sampler's ops over atom columns in place of shots.
+
+    Each noise cell of a Depolarize1 or Depolarize2 with p > 0 gets an X and
+    a Z column per qubit, in cell order, just before the instruction.  Each
+    product of a MeasurePP with flip_p > 0 gets a Pauli on its first qubit
+    that anticommutes with the product there, in one column just before
+    the measurement and in one just after it, in product order.  No random
+    event is drawn, and a chunk of columns starts at its first column's
+    instruction.
     """
-    timelines = _qubit_timelines(circuit)
-    sigs = []
-    for events in timelines:
-        per_slot = [None] * (len(events) + 1)
-        cur = {1: (frozenset(), 0), 2: (frozenset(), 0)}
-        per_slot[len(events)] = dict(cur)
-        for i in range(len(events) - 1, -1, -1):
-            ev = events[i]
-            if ev[0] == "barrier":
-                cur = {1: (frozenset(), 0), 2: (frozenset(), 0)}
+    n = circuit.n_qubits
+    n_det = circuit.n_detectors
+    slot, rows = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i, op in enumerate(ops):
+        if op[0] == _PAULI and op[2] > 0:
+            q = op[3].reshape(-1)
+            r = np.stack([q, q + n], axis=1).reshape(-1)
+            slot.append(np.full(r.size, 2 * i))
+        elif op[0] == _MEASURE and op[2] > 0:
+            nprod, flat, starts, sizes = op[4:]
+            if not sizes.all():
+                raise GraphExtractionError(
+                    f"instruction {i}: a product with a noisy outcome measures no qubit"
+                )
+            # the first row a product reads is an X row where it has a Z
+            # component on its first qubit and a Z row otherwise
+            r = np.tile(flat[starts], 2)
+            slot.append(np.repeat([2 * i, 2 * i + 1], nprod))
+        else:
+            continue
+        rows.append(r)
+    slot = np.concatenate(slot)
+    rows = np.concatenate(rows)
+    n_cols = slot.size
+    bounds = np.searchsorted(slot, np.arange(2 * len(ops) + 1)).tolist()
+
+    items, pars = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo in range(0, n_cols, _CHUNK):
+        hi = min(lo + _CHUNK, n_cols)
+        n_words = -(-(hi - lo) // 64)
+        frame = np.zeros((2 * n, n_words), dtype=_WORD)
+        flips = np.zeros((circuit.n_records, n_words), dtype=_WORD)
+
+        def inject(s: int) -> None:
+            cols = np.arange(max(bounds[s], lo), min(bounds[s + 1], hi))
+            if cols.size:
+                _flip(frame, rows[cols], cols - lo)
+
+        for i in range(int(slot[lo]) // 2, len(ops)):
+            op = ops[i]
+            inject(2 * i)
+            if op[0] == _CLEAR:
+                frame[op[1]] = 0
+            elif op[0] == _MEASURE:
+                rec, nprod, flat, starts, sizes = op[3:]
+                flips[rec : rec + nprod] = _xor_rows(frame, flat, starts, sizes)
+            inject(2 * i + 1)
+        bits = np.empty((n_det + circuit.n_observables, n_words), dtype=_WORD)
+        for a, b, flat, starts, sizes in slices:
+            bits[a:b] = _xor_rows(flips, flat, starts, sizes)
+        # unpack only the non-zero words: bit j of word w is column 64w + j
+        par, word = np.nonzero(bits)
+        hit, bit = np.nonzero(
+            np.unpackbits(
+                bits[par, word].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+            )
+        )
+        items.append(lo + 64 * word[hit] + bit)
+        pars.append(par[hit])
+    items = np.concatenate(items)
+    pars = np.concatenate(pars)
+    order = np.lexsort((pars, items))
+    sigs = _Signatures.from_pairs(n_cols, items[order], pars[order], n_det)
+    return _Columns(slot, rows, sigs)
+
+
+def _terms(ops, cols: _Columns, rec_sigs: _Signatures):
+    """Every Pauli term and record flip, in instruction order.
+
+    Yields (instruction, detector bitset, observable mask, p, atoms), where
+    atoms is the (before, after) column signature pair of a record flip and
+    None for a Pauli term.  A Pauli term is the XOR of its qubits' columns.
+    """
+    bounds = np.searchsorted(cols.slot, 2 * np.arange(len(ops) + 1)).tolist()
+    identity = (0, 0)
+    for i, op in enumerate(ops):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
+            continue
+        sigs = cols.sigs.between(lo, hi)
+        if op[0] == _PAULI:
+            p, k = op[2], op[3].shape[1]
+            p_term = p / (4**k - 1)
+            for c in range(0, len(sigs), 2 * k):
+                # per qubit: I, X, Z, Y = XZ
+                cell = sigs[c : c + 2 * k]
+                sides = [
+                    (identity, x, z, (x[0] ^ z[0], x[1] ^ z[1]))
+                    for x, z in zip(cell[::2], cell[1::2])
+                ]
+                for paulis in itertools.islice(itertools.product(*sides), 1, None):
+                    d, o = paulis[0]
+                    for dd, oo in paulis[1:]:
+                        d, o = d ^ dd, o ^ oo
+                    yield i, d, o, p_term, None
+        else:
+            flip_p, rec, nprod = op[2], op[3], op[4]
+            for j, want in enumerate(rec_sigs.between(rec, rec + nprod)):
+                before, after = sigs[j], sigs[nprod + j]
+                if (before[0] ^ after[0], before[1] ^ after[1]) != want:
+                    raise GraphExtractionError(
+                        f"instruction {i}: the flip of record {rec + j} is not the "
+                        "XOR of a Pauli just before and just after its measurement"
+                    )
+                yield i, want[0], want[1], flip_p, (before, after)
+
+
+def _split_in_two(dets: tuple, mask: int, known: dict):
+    """Step 1: two disjoint known graph-like pieces covering a 3- or
+    4-detector set, whose masks XOR to mask; None if there are none.
+
+    Splits are tried in a fixed order (one detector against the other two,
+    or pairs), and each part's known masks in ascending order.
+    """
+    if len(dets) == 3:
+        parts = [((dets[i],), dets[:i] + dets[i + 1 :]) for i in range(3)]
+    elif len(dets) == 4:
+        a, b, c, d = dets
+        parts = [((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))]
+    else:
+        return None
+    for left, right in parts:
+        right_masks = known.get(right, ())
+        for m in known.get(left, ()):
+            if m ^ mask in right_masks:
+                return [(left, m), (right, m ^ mask)]
+    return None
+
+
+def _split_record_flip(atoms, known: dict):
+    """Step 2: split a record flip through its before and after atoms.
+
+    Each atom is split by step 1 where it flips 3 or 4 detectors.  A piece
+    found on both sides cancels; pieces that share a detector are joined by
+    XOR.  Returns at most two disjoint graph-like pieces, or None.
+    """
+    pieces = []
+    for d, o in atoms:
+        if d.bit_count() > 2:
+            split = _split_in_two(_members(d), o, known)
+            if split is None:
+                return None
+            pieces += [(_bitset(dets), m) for dets, m in split]
+        elif d or o:
+            pieces.append((d, o))
+    groups = []  # (detectors touched, XOR of detectors, XOR of masks)
+    for d, o in sorted(k for k, n in collections.Counter(pieces).items() if n % 2):
+        touched, dx, ox = d, d, o
+        rest = []
+        for g in groups:
+            if g[0] & touched:
+                touched |= g[0]
+                dx, ox = dx ^ g[1], ox ^ g[2]
             else:
-                _, rec, code = ev
-                nxt = {}
-                for pcode in (1, 2):
-                    anti = ((pcode & 1) & (code >> 1)) ^ ((pcode >> 1) & (code & 1))
-                    if anti:
-                        d, o = cur[pcode]
-                        nxt[pcode] = (d ^ rec_dets[rec], o ^ rec_obs[rec])
-                    else:
-                        nxt[pcode] = cur[pcode]
-                cur = nxt
-            per_slot[i] = dict(cur)
-        sigs.append(per_slot)
-    return sigs
+                rest.append(g)
+        groups = rest + [(touched, dx, ox)]
+    out = [(_members(dx), ox) for _, dx, ox in groups if dx or ox]
+    if len(out) > 2 or any(not 1 <= len(d) <= 2 for d, _ in out):
+        return None
+    return out
 
 
 def extract_decoding_graph(circuit: CircuitProgram) -> DecodingGraph:
-    """Enumerate, propagate and merge every noise term into graph-like edges.
+    """The decoding graph of the circuit's detector error model.
 
-    Raises GraphExtractionError if a term flips three or more detectors and
-    cannot be decomposed into graph-like mechanisms present in the circuit,
-    or if a term flips an observable without flipping any detector.
+    Fault signatures come from the sampler's compiled ops, run over atom
+    columns (see _atom_columns).  Each Pauli term of a Depolarize1 (X, Y, Z;
+    p/3 each) or Depolarize2 (15 terms, p/15 each) is the XOR of its
+    qubits' atom columns.  A record flip (flip_p) flips its record's
+    detectors and observables, which must equal the XOR of its before and
+    after columns.  Terms with the same detectors and observable mask are
+    composed as independent events.
+
+    A term that flips one or two detectors is an edge.  A term that flips
+    three or four is split into graph-like pieces, each composed into its
+    edge with the term's probability, by the first rule that applies:
+
+    1. two disjoint parts of its detector set, each a graph-like mechanism
+       of some term (known before any split), whose observable masks XOR
+       to the term's mask;
+    2. for a record flip only, its before and after atoms, each split by
+       rule 1 where needed, with pieces found on both sides dropped and
+       pieces sharing a detector joined, if that leaves at most two
+       disjoint graph-like pieces.
+
+    Raises GraphExtractionError, naming the instruction and the number of
+    detectors, for a term that flips an observable but no detector, a term
+    that flips five or more detectors, and a term that neither rule splits;
+    also where a record flip differs from its before and after columns, a
+    noisy product measures no qubit, or there are more than 64 observables.
+    graph.stats counts the terms, graph-like terms, rule-1 and rule-2
+    splits and edges.
     """
-    rec_dets = [frozenset() for _ in range(circuit.n_records)]
-    for d, det in enumerate(circuit.detectors):
-        for r in det.records:
-            rec_dets[r] = rec_dets[r] ^ frozenset((d,))
-    rec_obs = [0] * circuit.n_records
-    for obs in circuit.observables:
-        for r in obs.records:
-            rec_obs[r] ^= 1 << obs.index
+    if circuit.n_observables > 64:
+        raise GraphExtractionError("observable masks hold at most 64 observables")
+    ops, slices = _compiled(circuit)
+    cols = _atom_columns(circuit, ops, slices)
+    rec_sigs = _record_signatures(circuit, slices)
 
-    sigs = _atom_signatures(circuit, rec_dets, rec_obs)
-    cursor = [0] * circuit.n_qubits
-
-    def atom(q: int, pcode: int):
-        return sigs[q][cursor[q]][pcode]
-
-    def combine(parts):
-        d = frozenset()
-        o = 0
-        for dd, oo in parts:
-            d = d ^ dd
-            o ^= oo
-        return d, o
-
-    terms: list[tuple[frozenset, int, float]] = []
-
-    def add_term(sig, p):
-        d, o = sig
-        if p <= 0 or (not d and not o):
-            return
-        terms.append((d, o, p))
-
-    rec = 0
-    for instr in circuit.instructions:
-        if isinstance(instr, Reset):
-            for q in instr.targets:
-                cursor[q] += 1
-        elif isinstance(instr, BellPrep):
-            for pair in instr.pairs:
-                for q in pair:
-                    cursor[q] += 1
-        elif isinstance(instr, Depolarize1):
-            if instr.p > 0:
-                for q in instr.targets:
-                    x = atom(q, 1)
-                    z = atom(q, 2)
-                    add_term(x, instr.p / 3)
-                    add_term(z, instr.p / 3)
-                    add_term(combine([x, z]), instr.p / 3)
-        elif isinstance(instr, Depolarize2):
-            if instr.p > 0:
-                for q1, q2 in instr.pairs:
-                    side = {
-                        (0, 1): atom(q1, 1),
-                        (0, 2): atom(q1, 2),
-                        (1, 1): atom(q2, 1),
-                        (1, 2): atom(q2, 2),
-                    }
-                    side[(0, 3)] = combine([side[(0, 1)], side[(0, 2)]])
-                    side[(1, 3)] = combine([side[(1, 1)], side[(1, 2)]])
-                    side[(0, 0)] = (frozenset(), 0)
-                    side[(1, 0)] = (frozenset(), 0)
-                    for c1 in range(4):
-                        for c2 in range(4):
-                            if c1 == 0 and c2 == 0:
-                                continue
-                            add_term(
-                                combine([side[(0, c1)], side[(1, c2)]]),
-                                instr.p / 15,
-                            )
-        elif isinstance(instr, MeasurePP):
-            for prod in instr.products:
-                if instr.flip_p > 0:
-                    add_term((rec_dets[rec], rec_obs[rec]), instr.flip_p)
-                for q, _ in prod:
-                    cursor[q] += 1
-                rec += 1
-
-    edges: dict[tuple[frozenset, int], float] = {}
-    pending: list[tuple[frozenset, int, float]] = []
-    for d, o, p in terms:
-        if len(d) <= 2:
-            if not d and o:
+    edges: dict[tuple, float] = {}  # (detectors, mask) -> p
+    pauli_hyper: dict[tuple, list] = {}  # (detectors, mask) -> [p, instruction, terms]
+    record_hyper: list[tuple] = []  # ((detectors, mask), p, instruction, atoms)
+    stats = dict.fromkeys(
+        ("terms", "graphlike_terms", "step1_splits", "step2_splits"), 0
+    )
+    for i, d, o, p, atoms in _terms(ops, cols, rec_sigs):
+        if not d:
+            if o:
                 raise GraphExtractionError(
-                    "error mechanism flips an observable but no detector"
+                    f"instruction {i}: a mechanism flips an observable but 0 detectors"
                 )
-            key = (d, o)
+            continue
+        stats["terms"] += 1
+        n_flipped = d.bit_count()
+        if n_flipped > 4:
+            raise GraphExtractionError(
+                f"instruction {i}: a mechanism flips {n_flipped} detectors, "
+                "more than the 4 that can be split into graph-like pieces"
+            )
+        key = (_members(d), o)
+        if n_flipped <= 2:
+            stats["graphlike_terms"] += 1
             edges[key] = _compose(edges.get(key, 0.0), p)
+        elif atoms is None:
+            entry = pauli_hyper.setdefault(key, [0.0, i, 0])
+            entry[0] = _compose(entry[0], p)
+            entry[2] += 1
         else:
-            pending.append((d, o, p))
+            record_hyper.append((key, p, i, atoms))
 
-    if pending:
-        det_edges: dict[int, set] = {}
-        for key in edges:
-            for det in key[0]:
-                det_edges.setdefault(det, set()).add(key)
+    known: dict[tuple, list[int]] = {}  # detectors -> masks, ascending
+    for dets, o in sorted(edges):
+        known.setdefault(dets, []).append(o)
 
-        def local_decompose(d: frozenset, o: int):
-            pool: set = set()
-            for det in d:
-                pool |= det_edges.get(det, set())
-            frontier = set()
-            for key in pool:
-                frontier |= key[0]
-            for det in frontier:
-                pool |= det_edges.get(det, set())
-            pool = sorted(pool, key=lambda k: (sorted(k[0]), k[1]))
-            if not pool:
-                return None
-            all_dets = sorted(set(d).union(*[set(k[0]) for k in pool]))
-            det_index = {det: i for i, det in enumerate(all_dets)}
-            n_obs = circuit.n_observables
-            rows = len(all_dets) + n_obs
-            A = np.zeros((rows, len(pool)), dtype=np.uint8)
-            for j, (dd, oo) in enumerate(pool):
-                for det in dd:
-                    A[det_index[det], j] = 1
-                for k in range(n_obs):
-                    if oo >> k & 1:
-                        A[len(all_dets) + k, j] = 1
-            b = np.zeros(rows, dtype=np.uint8)
-            for det in d:
-                b[det_index[det]] = 1
-            for k in range(n_obs):
-                if o >> k & 1:
-                    b[len(all_dets) + k] = 1
-            x = gf2.gf2_solve(A, b)
-            if x is None:
-                return None
-            return [pool[j] for j in np.nonzero(x)[0]]
+    def add(pieces, p):
+        for piece in pieces:
+            edges[piece] = _compose(edges.get(piece, 0.0), p)
 
-        merged_pending: dict[tuple[frozenset, int], float] = {}
-        for d, o, p in pending:
-            key = (d, o)
-            merged_pending[key] = _compose(merged_pending.get(key, 0.0), p)
-        for (d, o), p in sorted(
-            merged_pending.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])
-        ):
-            components = local_decompose(d, o)
-            if components is None:
+    for (dets, o), (p, i, n_terms) in pauli_hyper.items():
+        pieces = _split_in_two(dets, o, known)
+        if pieces is None:
+            raise GraphExtractionError(
+                f"instruction {i}: a mechanism flipping {len(dets)} detectors does "
+                "not split into two known graph-like mechanisms"
+            )
+        stats["step1_splits"] += n_terms
+        add(pieces, p)
+    for (dets, o), p, i, atoms in record_hyper:
+        pieces = _split_in_two(dets, o, known)
+        if pieces is not None:
+            stats["step1_splits"] += 1
+        else:
+            pieces = _split_record_flip(atoms, known)
+            if pieces is None:
                 raise GraphExtractionError(
-                    f"mechanism flipping {len(d)} detectors cannot be decomposed "
-                    "into graph-like components"
+                    f"instruction {i}: a measurement error flipping {len(dets)} "
+                    "detectors does not split into at most two graph-like pieces"
                 )
-            for key in components:
-                edges[key] = _compose(edges.get(key, 0.0), p)
+            stats["step2_splits"] += 1
+        add(pieces, p)
 
-    keys = sorted(edges.keys(), key=lambda k: (sorted(k[0]), k[1]))
-    det1 = np.full(len(keys), -1, dtype=np.int32)
-    det2 = np.full(len(keys), -1, dtype=np.int32)
-    prob = np.zeros(len(keys))
-    masks = np.zeros(len(keys), dtype=np.uint64)
-    for i, (d, o) in enumerate(keys):
-        ds = sorted(d)
-        if len(ds) >= 1:
-            det1[i] = ds[0]
-        if len(ds) == 2:
-            det2[i] = ds[1]
-        prob[i] = edges[(d, o)]
-        masks[i] = o
+    keys = sorted(edges)
+    stats["edges"] = len(keys)
     return DecodingGraph(
         n_detectors=circuit.n_detectors,
         n_observables=circuit.n_observables,
-        det1=det1,
-        det2=det2,
-        probability=prob,
-        obs_mask=masks,
+        det1=np.array([d[0] for d, _ in keys], dtype=np.int32),
+        det2=np.array([d[1] if len(d) == 2 else -1 for d, _ in keys], dtype=np.int32),
+        probability=np.array([edges[k] for k in keys], dtype=np.float64),
+        obs_mask=np.array([o for _, o in keys], dtype=np.uint64),
+        stats=stats,
     )
 
 

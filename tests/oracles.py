@@ -76,6 +76,69 @@ class StatevectorSim:
             self.apply_pauli({a: "Z"})
 
 
+def _qubit_timelines(circuit: CircuitProgram):
+    """Per-qubit ordered event lists: measurement touches and reset barriers."""
+    timelines: list[list[tuple]] = [[] for _ in range(circuit.n_qubits)]
+    rec = 0
+    for instr in circuit.instructions:
+        if isinstance(instr, Reset):
+            for q in instr.targets:
+                timelines[q].append(("barrier",))
+        elif isinstance(instr, BellPrep):
+            for pair in instr.pairs:
+                for q in pair:
+                    timelines[q].append(("barrier",))
+        elif isinstance(instr, MeasurePP):
+            for prod in instr.products:
+                for q, p in prod:
+                    timelines[q].append(("meas", rec, _PCODE[p]))
+                rec += 1
+    return timelines
+
+
+def reference_atom_signatures(circuit: CircuitProgram):
+    """Signature of every (qubit, slot, X or Z) Pauli insertion, by walking
+    each qubit's timeline backwards.
+
+    sigs[q][i][pcode] is the (detector set, observable mask) flipped by a
+    Pauli (pcode 1 = X, 2 = Z) placed just before the i-th event on qubit
+    q; slot len(events) sits after everything and is trivial.  A record
+    that a detector lists twice counts once.
+    """
+    rec_dets = [set() for _ in range(circuit.n_records)]
+    for d, det in enumerate(circuit.detectors):
+        for r in det.records:
+            rec_dets[r].add(d)
+    rec_dets = [frozenset(x) for x in rec_dets]
+    rec_obs = [0] * circuit.n_records
+    for obs in circuit.observables:
+        for r in obs.records:
+            rec_obs[r] |= 1 << obs.index
+    sigs = []
+    for events in _qubit_timelines(circuit):
+        per_slot = [None] * (len(events) + 1)
+        cur = {1: (frozenset(), 0), 2: (frozenset(), 0)}
+        per_slot[len(events)] = dict(cur)
+        for i in range(len(events) - 1, -1, -1):
+            ev = events[i]
+            if ev[0] == "barrier":
+                cur = {1: (frozenset(), 0), 2: (frozenset(), 0)}
+            else:
+                _, rec, code = ev
+                nxt = {}
+                for pcode in (1, 2):
+                    anti = ((pcode & 1) & (code >> 1)) ^ ((pcode >> 1) & (code & 1))
+                    if anti:
+                        d, o = cur[pcode]
+                        nxt[pcode] = (d ^ rec_dets[rec], o ^ rec_obs[rec])
+                    else:
+                        nxt[pcode] = cur[pcode]
+                cur = nxt
+            per_slot[i] = dict(cur)
+        sigs.append(per_slot)
+    return sigs
+
+
 def brute_force_min_weight(weights, syndromes, obs_masks, target_syndrome, max_size):
     """Minimum-weight subset of mechanisms producing a target syndrome.
 
