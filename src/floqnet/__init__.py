@@ -16,12 +16,9 @@ from floqnet.lattice import (
     derive_faces,
     color_faces,
     fine_grain,
-    fixture_path,
 )
 from floqnet.partition import (
     Partition,
-    fiedler_vector,
-    spectral_bisect,
     partition_code,
     partition_stats,
 )
@@ -50,10 +47,7 @@ __all__ = [
     "derive_faces",
     "color_faces",
     "fine_grain",
-    "fixture_path",
     "Partition",
-    "fiedler_vector",
-    "spectral_bisect",
     "partition_code",
     "partition_stats",
     "NoiseParams",

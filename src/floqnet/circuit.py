@@ -21,7 +21,7 @@ import numpy as np
 from floqnet import gf2
 from floqnet.lattice import Lattice, PAULI_OF_COLOR, validate_lattice
 from floqnet.partition import Partition, validate_partition
-from floqnet.tableau import Outcome, SymbolicTableau, pack_pauli
+from floqnet.tableau import SymbolicTableau, pack_pauli
 
 __all__ = [
     "NoiseParams",
@@ -39,8 +39,6 @@ __all__ = [
     "find_logical_observables",
     "build_memory_circuit",
     "validate_determinism",
-    "circuit_to_text",
-    "parse_circuit",
 ]
 
 
@@ -126,12 +124,12 @@ class CircuitProgram:
     detectors: tuple[Detector, ...]
     observables: tuple[Observable, ...]
     n_records: int
-    reference: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     metadata: dict = field(default_factory=dict, compare=False, repr=False)
-    # the sampler's compiled index arrays, with the instruction, detector and
-    # observable tuples they were compiled from; not an init field, so that
-    # dataclasses.replace never carries it into a copy with other contents
-    kernel_cache: Optional[tuple] = field(
+    # what is derived from the program once and read many times (the record
+    # masks of the symbolic run, the sampler's compiled index arrays), by
+    # name, with the objects each was derived from; not an init field, so
+    # that dataclasses.replace never carries it into a copy with other contents
+    kernel_cache: Optional[dict] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -144,10 +142,16 @@ class CircuitProgram:
                 return False
         return True
 
-    def ensure_reference(self) -> np.ndarray:
-        if self.reference is None:
-            self.reference = _reference_outcomes(self)[0]
-        return self.reference
+    def cached(self, name: str, sources: tuple, build):
+        """build(), kept under name and built again once any object in
+        sources is another object than the one it was built from."""
+        cache = self.kernel_cache or {}
+        hit = cache.get(name)
+        if hit is not None and all(a is b for a, b in zip(hit[0], sources)):
+            return hit[1]
+        value = build()
+        self.kernel_cache = {**cache, name: (sources, value)}
+        return value
 
     @property
     def n_detectors(self) -> int:
@@ -231,9 +235,10 @@ def find_logical_observables(lat: Lattice) -> LogicalOperatorSet:
     # X-type and Y-type products that share a support (their product is Z-type)
     xy = gf2.gf2_intersection(span_x, span_y)
     trivial = gf2.gf2_rowspace_basis(np.vstack([span_z, xy]) if xy.size else span_z)
-    for row in trivial:
-        if not gf2.gf2_in_rowspace(row, kernel):
-            raise CircuitError("stabilizer-valued set escapes the commutant kernel")
+    # the kernel basis has full rank, so trivial lies in its span exactly
+    # when stacking them adds no rank
+    if gf2.gf2_rank(np.vstack([kernel, trivial])) != kernel.shape[0]:
+        raise CircuitError("stabilizer-valued set escapes the commutant kernel")
     reps = gf2.gf2_extend_basis(trivial, kernel)
     if reps.shape[0] != 2 * lat.genus:
         raise CircuitError(
@@ -286,9 +291,14 @@ def build_memory_circuit(
         next_q += 2
     n_qubits = next_q
 
-    edges_by_color: dict[int, list[int]] = {0: [], 1: [], 2: []}
-    for i, e in enumerate(lattice.edges):
-        edges_by_color[e.color].append(i)
+    edges_by_color = {c: lattice.edges_of_color(c) for c in range(3)}
+    face_edges_by_color: list[dict[int, list[int]]] = []
+    for f in lattice.faces:
+        split: dict[int, list[int]] = {0: [], 1: [], 2: []}
+        for e in f.edges:
+            split[lattice.edges[e].color].append(e)
+        face_edges_by_color.append(split)
+    face_vertices = _face_vertex_sets(lattice)
 
     n_sub = 6 * n_detector_rounds
     instructions: list = []
@@ -378,7 +388,7 @@ def build_memory_circuit(
     logicals = find_logical_observables(lattice)
     observables = _track_observables(
         lattice, logicals, check_records, edge_records, final_rec_of, n_sub,
-        nonlocal_set,
+        nonlocal_set, edges_by_color, face_vertices, face_edges_by_color,
     )
 
     program = CircuitProgram(
@@ -400,16 +410,7 @@ def build_memory_circuit(
         },
     )
 
-    reference, symbols = _reference_outcomes(program)
-    program.reference = reference
-
-    face_edges_by_color: list[dict[int, list[int]]] = []
-    for f in lattice.faces:
-        split: dict[int, list[int]] = {0: [], 1: [], 2: []}
-        for e in f.edges:
-            split[lattice.edges[e].color].append(e)
-        face_edges_by_color.append(split)
-    face_vertices = _face_vertex_sets(lattice)
+    masks = _record_masks(program)
 
     def minus_edges(fi: int) -> list[int]:
         c = lattice.faces[fi].color
@@ -451,10 +452,7 @@ def build_memory_circuit(
                 continue
             if len(set(recs)) != len(recs):
                 raise CircuitError("duplicate record in a detector")
-            parity = Outcome(0, 0)
-            for r in recs:
-                parity = parity ^ symbols[r]
-            if parity.mask == 0:
+            if not _parity_mask(masks, recs):
                 detectors.append(Detector(tuple(sorted(recs)), face=fi, anchor=s))
             elif s - 4 >= 0:
                 raise CircuitError(
@@ -472,10 +470,7 @@ def build_memory_circuit(
                 recs.extend(edge_records[s_last][e])
             for e in plus_edges(fi):
                 recs.extend(check_records[s_last - 1][e])
-            parity = Outcome(0, 0)
-            for r in recs:
-                parity = parity ^ symbols[r]
-            if parity.mask != 0:
+            if _parity_mask(masks, recs):
                 raise CircuitError(
                     f"closing detector of face {fi} is not deterministic"
                 )
@@ -485,10 +480,7 @@ def build_memory_circuit(
     program.detectors = tuple(detectors)
 
     for obs in program.observables:
-        parity = Outcome(0, 0)
-        for r in obs.records:
-            parity = parity ^ symbols[r]
-        if parity.mask != 0:
+        if _parity_mask(masks, obs.records):
             raise CircuitError(f"observable {obs.index} is not deterministic")
 
     if not program.measurement_index_ok():
@@ -504,6 +496,9 @@ def _track_observables(
     final_rec_of: dict[int, int],
     n_sub: int,
     nonlocal_set: set[int],
+    edges_by_color: dict[int, list[int]],
+    face_vertices: list[set[int]],
+    face_edges_by_color: list[dict[int, list[int]]],
 ) -> list[Observable]:
     """Propagate each Z-type representative through the measurement schedule.
 
@@ -518,16 +513,6 @@ def _track_observables(
     transversal readout can evaluate it.
     """
     n = lattice.n_vertices
-    edges_by_color: dict[int, list[int]] = {0: [], 1: [], 2: []}
-    for i, e in enumerate(lattice.edges):
-        edges_by_color[e.color].append(i)
-    face_vertices = _face_vertex_sets(lattice)
-    face_edges_by_color: list[dict[int, list[int]]] = []
-    for f in lattice.faces:
-        split: dict[int, list[int]] = {0: [], 1: [], 2: []}
-        for e in f.edges:
-            split[lattice.edges[e].color].append(e)
-        face_edges_by_color.append(split)
 
     def face_available(fi: int, s: int) -> bool:
         c = lattice.faces[fi].color
@@ -734,13 +719,17 @@ def _track_observables(
 
 
 # ---------------------------------------------------------------------------
-# noiseless reference + determinism report
+# symbolic run + determinism report
 
 
-def _reference_outcomes(program: CircuitProgram):
-    """Run the noiseless circuit symbolically; returns (reference bits, symbols)."""
+def _simulate(program: CircuitProgram) -> list[int]:
+    """Run the noiseless circuit symbolically.
+
+    Returns one mask over the symbolic random bits per record: a parity of
+    records is deterministic exactly when the XOR of their masks is zero.
+    """
     tab = SymbolicTableau(program.n_qubits)
-    symbols: list[Outcome] = []
+    masks: list[int] = []
     for instr in program.instructions:
         if isinstance(instr, Reset):
             for q in instr.targets:
@@ -750,15 +739,31 @@ def _reference_outcomes(program: CircuitProgram):
                 tab.bell_prep(a, b)
         elif isinstance(instr, MeasurePP):
             for prod in instr.products:
-                symbols.append(tab.measure(pack_pauli(program.n_qubits, dict(prod))))
+                masks.append(tab.measure(pack_pauli(program.n_qubits, dict(prod))).mask)
         elif isinstance(instr, (Depolarize1, Depolarize2)):
             continue
         else:
             raise CircuitError(f"unknown instruction {instr!r}")
-    if len(symbols) != program.n_records:
+    return masks
+
+
+def _record_masks(program: CircuitProgram) -> list[int]:
+    """_simulate's masks, kept on the program and simulated again once its
+    instruction tuple is another object or its qubit count changes."""
+    masks = program.cached(
+        "masks", (program.instructions, program.n_qubits), lambda: _simulate(program)
+    )
+    if len(masks) != program.n_records:
         raise CircuitError("record count mismatch while simulating")
-    reference = np.array([s.bit for s in symbols], dtype=np.uint8)
-    return reference, symbols
+    return masks
+
+
+def _parity_mask(masks: list[int], records) -> int:
+    """XOR of the records' masks; zero exactly when their parity is deterministic."""
+    out = 0
+    for r in records:
+        out ^= masks[r]
+    return out
 
 
 @dataclass(frozen=True)
@@ -779,149 +784,22 @@ class DeterminismReport:
 
 
 def validate_determinism(program: CircuitProgram) -> DeterminismReport:
-    """Simulate the noiseless circuit and flag any detector whose parity is
-    not deterministic and any observable whose value is not deterministic."""
+    """Flag any detector whose parity is not deterministic and any observable
+    whose value is not deterministic in the noiseless circuit.
+
+    Reads the record masks that build_memory_circuit kept on the program;
+    the circuit is simulated again only where they are missing or its
+    instructions or qubit count have changed since.
+    """
     bad_d: list[tuple[int, str]] = []
     bad_o: list[tuple[int, str]] = []
     if not program.measurement_index_ok():
         return DeterminismReport(False, ((-1, "record index out of range"),), ())
-    _, symbols = _reference_outcomes(program)
+    masks = _record_masks(program)
     for i, det in enumerate(program.detectors):
-        parity = Outcome(0, 0)
-        for r in det.records:
-            parity = parity ^ symbols[r]
-        if parity.mask != 0:
+        if _parity_mask(masks, det.records):
             bad_d.append((i, "parity depends on measurement randomness"))
     for obs in program.observables:
-        parity = Outcome(0, 0)
-        for r in obs.records:
-            parity = parity ^ symbols[r]
-        if parity.mask != 0:
+        if _parity_mask(masks, obs.records):
             bad_o.append((obs.index, "value depends on measurement randomness"))
     return DeterminismReport(not bad_d and not bad_o, tuple(bad_d), tuple(bad_o))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def circuit_to_text(program: CircuitProgram) -> str:
-    lines = [
-        f"CIRCUIT {program.name}",
-        f"QUBITS {program.n_qubits}",
-        "DATA " + " ".join(str(q) for q in program.data_qubits),
-    ]
-    for e, a0, a1 in program.bell_ancillas:
-        lines.append(f"ANCILLA {e} {a0} {a1}")
-
-    by_last: dict[int, list[Detector]] = {}
-    for det in program.detectors:
-        by_last.setdefault(max(det.records), []).append(det)
-
-    rec = 0
-    for instr in program.instructions:
-        if isinstance(instr, Reset):
-            lines.append("R " + " ".join(map(str, instr.targets)))
-        elif isinstance(instr, Depolarize1):
-            lines.append(f"DEP1 {instr.p!r} " + " ".join(map(str, instr.targets)))
-        elif isinstance(instr, Depolarize2):
-            lines.append(
-                f"DEP2 {instr.p!r} " + " ".join(f"{a},{b}" for a, b in instr.pairs)
-            )
-        elif isinstance(instr, BellPrep):
-            lines.append("BELLPREP " + " ".join(f"{a},{b}" for a, b in instr.pairs))
-        elif isinstance(instr, MeasurePP):
-            terms = []
-            for prod in instr.products:
-                terms.append("*".join(f"{p}{q}" for q, p in prod))
-            lines.append(f"MPP {instr.flip_p!r} " + " ".join(terms))
-            first = rec
-            rec += len(instr.products)
-            closing = []
-            for r in range(first, rec):
-                closing.extend(by_last.pop(r, []))
-            for det in closing:
-                offs = " ".join(str(r - rec) for r in det.records)
-                lines.append(f"DETECTOR {det.face} {det.anchor} {offs}")
-        else:
-            raise CircuitError(f"cannot serialize {instr!r}")
-    for obs in program.observables:
-        offs = " ".join(str(r - rec) for r in obs.records)
-        lines.append(f"OBSERVABLE {obs.index} {offs}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_circuit(text: str) -> CircuitProgram:
-    name = "parsed"
-    n_qubits = 0
-    data: tuple[int, ...] = ()
-    ancillas: list[tuple[int, int, int]] = []
-    instructions: list = []
-    detectors: list[Detector] = []
-    observables: list[Observable] = []
-    rec = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        kind = tok[0]
-        try:
-            if kind == "CIRCUIT":
-                name = tok[1]
-            elif kind == "QUBITS":
-                n_qubits = int(tok[1])
-            elif kind == "DATA":
-                data = tuple(int(x) for x in tok[1:])
-            elif kind == "ANCILLA":
-                ancillas.append((int(tok[1]), int(tok[2]), int(tok[3])))
-            elif kind == "R":
-                instructions.append(Reset(tuple(int(x) for x in tok[1:])))
-            elif kind == "DEP1":
-                instructions.append(
-                    Depolarize1(float(tok[1]), tuple(int(x) for x in tok[2:]))
-                )
-            elif kind == "DEP2":
-                pairs = tuple(
-                    tuple(int(x) for x in t.split(",")) for t in tok[2:]
-                )
-                instructions.append(Depolarize2(float(tok[1]), pairs))
-            elif kind == "BELLPREP":
-                pairs = tuple(
-                    tuple(int(x) for x in t.split(",")) for t in tok[1:]
-                )
-                instructions.append(BellPrep(pairs))
-            elif kind == "MPP":
-                prods = []
-                for term in tok[2:]:
-                    prod = []
-                    for factor in term.split("*"):
-                        prod.append((int(factor[1:]), factor[0]))
-                    prods.append(tuple(prod))
-                instructions.append(MeasurePP(float(tok[1]), tuple(prods)))
-                rec += len(prods)
-            elif kind == "DETECTOR":
-                face, anchor = int(tok[1]), int(tok[2])
-                records = tuple(sorted(rec + int(x) for x in tok[3:]))
-                detectors.append(Detector(records, face=face, anchor=anchor))
-            elif kind == "OBSERVABLE":
-                records = tuple(sorted(rec + int(x) for x in tok[2:]))
-                observables.append(Observable(int(tok[1]), records))
-            else:
-                raise ValueError(f"unknown record {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise CircuitError(f"circuit line {lineno}: {exc}") from exc
-    detectors.sort(key=lambda d: (d.anchor, d.face))
-    program = CircuitProgram(
-        name=name,
-        n_qubits=n_qubits,
-        data_qubits=data,
-        bell_ancillas=tuple(ancillas),
-        instructions=tuple(instructions),
-        detectors=tuple(detectors),
-        observables=tuple(sorted(observables, key=lambda o: o.index)),
-        n_records=rec,
-    )
-    if not program.measurement_index_ok():
-        raise CircuitError("parsed circuit references a missing record")
-    return program

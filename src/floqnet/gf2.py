@@ -57,15 +57,6 @@ def gf2_rowspace_basis(A: np.ndarray) -> np.ndarray:
     return R[: len(pivots)].copy()
 
 
-def gf2_in_rowspace(v: np.ndarray, A: np.ndarray) -> bool:
-    """True if v lies in the row space of A."""
-    A = (np.asarray(A) & 1).astype(np.uint8)
-    v = (np.asarray(v).reshape(1, -1) & 1).astype(np.uint8)
-    if A.shape[0] == 0:
-        return not v.any()
-    return gf2_rank(A) == gf2_rank(np.vstack([A, v]))
-
-
 def gf2_intersection(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Basis (rows) of rowspace(A) ∩ rowspace(B)."""
     A = gf2_rowspace_basis(A)

@@ -7,15 +7,13 @@ stabilisers.  Faces are properly 3-coloured and the colour of an edge is
 the unique colour absent from its two incident faces.
 
 Toric honeycombs ({6,3}) are generated directly; any other closed tiling,
-such as an {8,3} one, is loaded from lattice text or a file.  No lattice
-fixtures ship with the package yet, so a bare fixture name such as 'h64'
-raises LatticeError.  Fine-graining subdivides the dual triangulation and
-re-dualises, multiplying the qubit count by f² while preserving the genus.
+such as an {8,3} one, is loaded from lattice text or a file.
+Fine-graining subdivides the dual triangulation and re-dualises,
+multiplying the qubit count by f² while preserving the genus.
 """
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -35,8 +33,6 @@ __all__ = [
     "save_lattice",
     "lattice_to_text",
     "validate_lattice",
-    "fixture_path",
-    "builtin_fixtures",
 ]
 
 PAULI_OF_COLOR = ("X", "Y", "Z")
@@ -113,12 +109,6 @@ class Lattice:
     @property
     def encoding_rate(self) -> float:
         return self.k / self.n_vertices
-
-    def edge_pauli(self, e: int) -> str:
-        c = self.edges[e].color
-        if c is None:
-            raise LatticeError(f"edge {e} is uncoloured")
-        return PAULI_OF_COLOR[c]
 
     def edges_of_color(self, color: int) -> list[int]:
         return [i for i, e in enumerate(self.edges) if e.color == color]
@@ -828,10 +818,11 @@ def _parse_lattice_text(text: str) -> Lattice:
 
 
 def load_lattice(source: str | Path) -> Lattice:
-    """Load and fully validate a lattice from file text, a path, or a fixture name.
+    """Load and fully validate a lattice from lattice text or a file path.
 
-    Validation failures raise LatticeError; nothing is silently repaired.
-    Uncoloured input is coloured via color_faces.
+    A string without a newline is a path; a missing file raises LatticeError
+    naming it.  Validation failures raise LatticeError; nothing is silently
+    repaired.  Uncoloured input is coloured via color_faces.
     """
     if isinstance(source, Path):
         text = source.read_text(encoding="utf-8")
@@ -840,10 +831,7 @@ def load_lattice(source: str | Path) -> Lattice:
     else:
         p = Path(source)
         if not p.exists():
-            fp = fixture_path(source)
-            if fp is None:
-                raise LatticeError(f"no such lattice file or fixture: {source}")
-            p = fp
+            raise LatticeError(f"no such lattice file: {source}")
         text = p.read_text(encoding="utf-8")
     lat = _parse_lattice_text(text)
     validate_lattice(lat, require_colors=False)
@@ -852,25 +840,3 @@ def load_lattice(source: str | Path) -> Lattice:
         return lat
     # partial colourings are completed by search (pre-assignments respected)
     return color_faces(lat)
-
-
-def fixture_path(name: str) -> Optional[Path]:
-    """Path of a packaged lattice fixture, or None where there is none."""
-    base = name.lower()
-    if not base.endswith(".lattice"):
-        base = base + ".lattice"
-    pkg = importlib.resources.files("floqnet") / "fixtures" / base
-    try:
-        if pkg.is_file():
-            return Path(str(pkg))
-    except (OSError, TypeError):
-        return None
-    return None
-
-
-def builtin_fixtures() -> list[str]:
-    pkg = importlib.resources.files("floqnet") / "fixtures"
-    try:
-        return sorted(p.name[: -len(".lattice")] for p in pkg.iterdir() if p.name.endswith(".lattice"))
-    except (OSError, FileNotFoundError):
-        return []

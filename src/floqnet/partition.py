@@ -8,7 +8,6 @@ local checks E_i; everything else is the non-local check set E'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +25,6 @@ __all__ = [
     "partition_code",
     "partition_stats",
     "validate_partition",
-    "save_partition",
-    "load_partition",
-    "partition_to_text",
 ]
 
 
@@ -279,71 +275,3 @@ def partition_stats(lattice: Lattice, part: Partition) -> dict:
         "planarity_proxy_ok": all(planar_proxy),
         "planarity_proxy_per_cluster": planar_proxy,
     }
-
-
-# ---------------------------------------------------------------------------
-# file format
-
-
-def partition_to_text(part: Partition) -> str:
-    lines = [f"PARTITION {part.n_qpu}"]
-    for i, (verts, _) in enumerate(part.clusters):
-        lines.append(f"CLUSTER {i} " + " ".join(str(v) for v in sorted(verts)))
-    lines.append("NONLOCAL " + " ".join(str(e) for e in part.nonlocal_edges))
-    return "\n".join(lines) + "\n"
-
-
-def save_partition(part: Partition, path: str | Path) -> None:
-    Path(path).write_text(partition_to_text(part), encoding="utf-8")
-
-
-def load_partition(source: str | Path, lattice: Lattice) -> Partition:
-    text = str(source)
-    if "\n" not in text:
-        text = Path(source).read_text(encoding="utf-8")
-    n_qpu = None
-    clusters: dict[int, list[int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        if tok[0] == "PARTITION":
-            n_qpu = int(tok[1])
-        elif tok[0] == "CLUSTER":
-            clusters[int(tok[1])] = [int(x) for x in tok[2:]]
-        elif tok[0] == "NONLOCAL":
-            pass  # derived from clusters below, then cross-checked
-        else:
-            raise PartitionError(
-                f"partition file line {lineno}: unknown record {tok[0]}"
-            )
-    if n_qpu is None:
-        raise PartitionError("partition file is missing the PARTITION header")
-    if sorted(clusters) != list(range(len(clusters))):
-        raise PartitionError("cluster ids must be 0..N-1")
-    members = [set(clusters[i]) for i in range(len(clusters))]
-    vert_cluster: dict[int, int] = {}
-    for i, vs in enumerate(members):
-        for v in vs:
-            vert_cluster[v] = i
-    local: list[list[int]] = [[] for _ in members]
-    nonlocal_edges = []
-    for eid, e in enumerate(lattice.edges):
-        cu = vert_cluster.get(e.u)
-        cv = vert_cluster.get(e.v)
-        if cu is None or cv is None:
-            raise PartitionError(f"edge {eid} endpoint missing from all clusters")
-        if cu == cv:
-            local[cu].append(eid)
-        else:
-            nonlocal_edges.append(eid)
-    part = Partition(
-        clusters=tuple(
-            (frozenset(members[i]), tuple(local[i])) for i in range(len(members))
-        ),
-        nonlocal_edges=tuple(nonlocal_edges),
-        n_qpu=n_qpu,
-    )
-    validate_partition(lattice, part)
-    return part

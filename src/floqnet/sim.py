@@ -1,10 +1,11 @@
 """Pauli-frame Monte Carlo sampling and decoding-graph extraction.
 
-Sampling tracks error frames against the circuit's noiseless reference, so
-detector bits are parities of record flips.  All randomness is drawn from
-counter-based Philox streams keyed on (seed, noise-annotation index, shot
-chunk), making batches bitwise reproducible for a fixed (circuit, seed,
-shots).
+Sampling tracks error frames: each record bit is the flip of that record
+against its noiseless value, which is never computed, and detector and
+observable bits are parities of record flips.  All randomness is drawn
+from counter-based Philox streams keyed on (seed, noise-annotation index,
+shot chunk), making batches bitwise reproducible for a fixed (circuit,
+seed, shots).
 
 The sampler is bit-packed, as in stim (Gidney, arXiv:2103.02202).  The
 instruction list is compiled once into flat index arrays, which the program
@@ -256,16 +257,14 @@ def _compiled(circuit: CircuitProgram) -> tuple[list[tuple], list[tuple]]:
     """_compile_sampler's output, kept on the program and compiled again
     once its instruction, detector or observable tuple is another object,
     or its qubit or record count changes."""
-    sources = (circuit.instructions, circuit.detectors, circuit.observables)
-    sizes = (circuit.n_qubits, circuit.n_records)
-    cache = circuit.kernel_cache
-    if (
-        cache is None
-        or any(a is not b for a, b in zip(cache[0], sources))
-        or cache[1] != sizes
-    ):
-        circuit.kernel_cache = cache = (sources, sizes, _compile_sampler(circuit))
-    return cache[2]
+    sources = (
+        circuit.instructions,
+        circuit.detectors,
+        circuit.observables,
+        circuit.n_qubits,
+        circuit.n_records,
+    )
+    return circuit.cached("sampler", sources, lambda: _compile_sampler(circuit))
 
 
 def _flip(words: np.ndarray, rows: np.ndarray, shots: np.ndarray) -> None:
@@ -289,7 +288,6 @@ def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
     if shots < 1:
         raise ValueError("shots must be positive")
     ops, slices = _compiled(circuit)
-    circuit.ensure_reference()
     n = circuit.n_qubits
     n_det = circuit.n_detectors
     n_obs = circuit.n_observables

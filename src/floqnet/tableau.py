@@ -27,10 +27,6 @@ class Outcome:
     bit: int
     mask: int
 
-    @property
-    def deterministic(self) -> bool:
-        return self.mask == 0
-
     def __xor__(self, other: "Outcome") -> "Outcome":
         return Outcome(self.bit ^ other.bit, self.mask ^ other.mask)
 
@@ -89,9 +85,6 @@ class SymbolicTableau:
             )
             self.mask_words += grow
         return k
-
-    def _mask_row_to_int(self, row: int) -> int:
-        return int.from_bytes(self.masks[row].tobytes(), "little")
 
     # -- phase arithmetic ------------------------------------------------------
 

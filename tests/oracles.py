@@ -178,7 +178,6 @@ def reference_sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> Sh
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    circuit.ensure_reference()
     n_det = circuit.n_detectors
     n_obs = circuit.n_observables
 

@@ -1,8 +1,11 @@
-import numpy as np
+import dataclasses
+
 import pytest
 
+from floqnet import circuit as circuit_module
 from floqnet.circuit import (
     BellPrep,
+    CircuitProgram,
     CircuitError,
     Depolarize1,
     Depolarize2,
@@ -10,10 +13,9 @@ from floqnet.circuit import (
     MeasurePP,
     NoiseParams,
     Observable,
+    Reset,
     build_memory_circuit,
-    circuit_to_text,
     find_logical_observables,
-    parse_circuit,
     validate_determinism,
 )
 from floqnet.lattice import (
@@ -26,6 +28,7 @@ from floqnet.lattice import (
     generate_honeycomb_torus,
 )
 from floqnet.partition import partition_code
+from floqnet.sim import sample_shots
 
 
 @pytest.fixture(scope="module")
@@ -172,23 +175,75 @@ def test_rejects_bad_round_count(hc):
         build_memory_circuit(hc, None, NoiseParams(0, 0), 1, basis="X")
 
 
-def test_serialization_round_trip(hc, hc_part):
+def _count_tableaus(monkeypatch) -> list:
+    """Patch the symbolic tableau to count its runs; returns the counter."""
+    runs = []
+    real = circuit_module.SymbolicTableau
+
+    def counted(n_qubits):
+        runs.append(n_qubits)
+        return real(n_qubits)
+
+    monkeypatch.setattr(circuit_module, "SymbolicTableau", counted)
+    return runs
+
+
+def _no_tableau(n_qubits):
+    raise AssertionError("the symbolic tableau ran")
+
+
+def test_build_and_certify_simulate_once(hc, hc_part, monkeypatch):
+    runs = _count_tableaus(monkeypatch)
     c = build_memory_circuit(hc, hc_part, NoiseParams(1e-3, 1e-2), 2)
-    text = circuit_to_text(c)
-    c2 = parse_circuit(text)
-    assert c2.instructions == c.instructions
-    assert c2.detectors == c.detectors
-    assert c2.observables == c.observables
-    assert c2.n_qubits == c.n_qubits
-    assert c2.data_qubits == c.data_qubits
-    assert c2.bell_ancillas == c.bell_ancillas
-    assert circuit_to_text(c2) == text
-    # parsed circuits can regenerate the reference and still validate
-    assert validate_determinism(c2).ok
+    assert len(runs) == 1
+    monkeypatch.setattr(circuit_module, "SymbolicTableau", _no_tableau)
+    assert validate_determinism(c).ok
 
 
-def test_reference_outcomes_regenerated(hc):
+def _flip_one_pauli(instructions: tuple) -> tuple:
+    """The instructions with the second Pauli of the first product of the
+    fourth two-qubit MeasurePP swapped between X and Z."""
+    out = list(instructions)
+    pair_mpps = [
+        i for i, ins in enumerate(out)
+        if isinstance(ins, MeasurePP) and len(ins.products[0]) == 2
+    ]
+    i = pair_mpps[3]
+    (a, pa), (b, pb) = out[i].products[0]
+    swapped = ((a, pa), (b, "Z" if pb == "X" else "X"))
+    out[i] = MeasurePP(out[i].flip_p, (swapped,) + out[i].products[1:])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("how", ["replace", "reassign"])
+def test_changed_instructions_are_simulated_again(hc, monkeypatch, how):
     c = build_memory_circuit(hc, None, NoiseParams(1e-3, 0), 1)
-    ref = c.reference.copy()
-    c2 = parse_circuit(circuit_to_text(c))
-    assert np.array_equal(c2.ensure_reference(), ref)
+    runs = _count_tableaus(monkeypatch)
+    changed = _flip_one_pauli(c.instructions)
+    if how == "replace":
+        c = dataclasses.replace(c, instructions=changed)
+    else:
+        c.instructions = changed
+    report = validate_determinism(c)
+    assert len(runs) == 1
+    assert not report.ok
+
+
+def test_sampling_a_hand_built_program_runs_no_tableau(monkeypatch):
+    monkeypatch.setattr(circuit_module, "SymbolicTableau", _no_tableau)
+    program = CircuitProgram(
+        name="hand",
+        n_qubits=2,
+        data_qubits=(0, 1),
+        bell_ancillas=(),
+        instructions=(
+            Reset((0, 1)),
+            Depolarize1(0.2, (0, 1)),
+            MeasurePP(0.1, (((0, "Z"), (1, "Z")), ((1, "Z"),))),
+        ),
+        detectors=(Detector((0,)), Detector((1,))),
+        observables=(Observable(0, (1,)),),
+        n_records=2,
+    )
+    batch = sample_shots(program, 7, 200)
+    assert batch.detectors.any()

@@ -8,10 +8,8 @@ from floqnet.partition import (
     EigensolverError,
     PartitionError,
     fiedler_vector,
-    load_partition,
     partition_code,
     partition_stats,
-    partition_to_text,
     spectral_bisect,
     validate_partition,
 )
@@ -144,13 +142,3 @@ def test_partition_planarity_proxy():
     part = partition_code(lat, 32)
     stats = partition_stats(lat, part)
     assert stats["planarity_proxy_ok"]
-
-
-def test_partition_round_trip(tmp_path):
-    lat = generate_honeycomb_torus(6, 3)
-    part = partition_code(lat, 16)
-    text = partition_to_text(part)
-    p = tmp_path / "part.txt"
-    p.write_text(text)
-    part2 = load_partition(p, lat)
-    assert part2 == part
