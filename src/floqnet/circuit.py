@@ -13,6 +13,7 @@ detector when its dependence on every measurement-randomness bit cancels.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,6 +47,14 @@ class CircuitError(ValueError):
     pass
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise CircuitError unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise CircuitError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise CircuitError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Two-tier circuit noise: local error rate, Bell-pair error rate, and
@@ -60,12 +69,13 @@ class NoiseParams:
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise CircuitError(f"{name}={p} is not a probability")
-        if self.bell_wait_cycles < 0:
-            raise CircuitError("bell_wait_cycles must be non-negative")
+        _check_count("bell_wait_cycles", self.bell_wait_cycles, 0)
 
 
 # ---------------------------------------------------------------------------
 # instructions
+
+_CODE = {"X": 1, "Z": 2, "Y": 3}
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,12 @@ class MeasurePP:
 
     flip_p: float
     products: tuple[tuple[tuple[int, str], ...], ...]
+
+    def __post_init__(self):
+        for prod in self.products:
+            for _, p in prod:
+                if p not in _CODE:
+                    raise CircuitError(f"Pauli {p!r} is not one of X, Y, Z")
 
 
 @dataclass(frozen=True)
@@ -251,8 +267,6 @@ def find_logical_observables(lat: Lattice) -> LogicalOperatorSet:
 # ---------------------------------------------------------------------------
 # compilation
 
-_CODE = {"X": 1, "Z": 2, "Y": 3}
-
 
 def _single_cluster_partition(lat: Lattice) -> Partition:
     return Partition(
@@ -272,8 +286,7 @@ def build_memory_circuit(
     """Compile a Z-basis memory experiment over 6·n_detector_rounds sub-rounds."""
     if basis != "Z":
         raise CircuitError("only the Z memory basis is supported")
-    if n_detector_rounds < 1:
-        raise CircuitError("n_detector_rounds must be >= 1")
+    _check_count("n_detector_rounds", n_detector_rounds, 1)
     validate_lattice(lattice)
     if partition is None:
         partition = _single_cluster_partition(lattice)
@@ -597,11 +610,6 @@ def _track_observables(
                 rows.append(((q, -1),))  # -1 marks an "x-part must vanish" row
         return rows
 
-    def entry(code: int, marker: int) -> int:
-        if marker == -1:
-            return code & 1  # x bit
-        return 0 if code in (0, marker) else 1
-
     solvers: dict[int, tuple] = {}
 
     def solver_for(s: int):
@@ -609,15 +617,8 @@ def _track_observables(
         if key in solvers:
             return solvers[key]
         gens = generators_for(s)
-        rows = constraint_rows(s)
-        A = np.zeros((len(rows), len(gens)), dtype=np.uint8)
-        for j, (codes, _) in enumerate(gens):
-            for i, row in enumerate(rows):
-                val = 0
-                for q, marker in row:
-                    val ^= entry(codes.get(q, 0), marker)
-                if val:
-                    A[i, j] = 1
+        rows = _Constraints([(s, row) for row in constraint_rows(s)])
+        A = rows.matrix([(s, codes) for codes, _ in gens])
         solver = (gf2.PackedGF2Solver(A), gens, rows)
         solvers[key] = solver
         return solver
@@ -639,21 +640,12 @@ def _track_observables(
     for t in range(window):
         for codes, spec in generators_for(t):
             win_gens.append((t, codes, spec))
-    win_rows: list[tuple[int, tuple]] = []
-    for s in range(window):
-        for row in constraint_rows(s):
-            win_rows.append((s, row))
-    A = np.zeros((len(win_rows), len(win_gens)), dtype=np.uint8)
-    for j, (t, codes, _) in enumerate(win_gens):
-        for i, (s, row) in enumerate(win_rows):
-            if t > s:
-                continue
-            val = 0
-            for q, marker in row:
-                val ^= entry(codes.get(q, 0), marker)
-            if val:
-                A[i, j] = 1
-    window_solver = gf2.PackedGF2Solver(A)
+    win_rows = _Constraints(
+        [(s, row) for s in range(window) for row in constraint_rows(s)]
+    )
+    window_solver = gf2.PackedGF2Solver(
+        win_rows.matrix([(t, codes) for t, codes, _ in win_gens])
+    )
 
     observables = []
     for k in range(len(logicals)):
@@ -662,13 +654,7 @@ def _track_observables(
         }
         records: set[int] = set()
 
-        b = np.zeros(len(win_rows), dtype=np.uint8)
-        for i, (s, row) in enumerate(win_rows):
-            val = 0
-            for q, marker in row:
-                val ^= entry(op.get(q, 0), marker)
-            b[i] = val
-        x = window_solver.solve(b)
+        x = window_solver.solve(win_rows.vector(op))
         if x is None:
             raise CircuitError(
                 f"observable {k} cannot be kept commuting through warmup"
@@ -685,12 +671,7 @@ def _track_observables(
 
         for s in range(window, n_sub):
             solver, gens, rows = solver_for(s)
-            b = np.zeros(len(rows), dtype=np.uint8)
-            for i, row in enumerate(rows):
-                val = 0
-                for q, marker in row:
-                    val ^= entry(op.get(q, 0), marker)
-                b[i] = val
+            b = rows.vector(op)
             if not b.any():
                 continue
             x = solver.solve(b)
@@ -718,6 +699,51 @@ def _track_observables(
     return observables
 
 
+def _entry(code: int, marker: int) -> int:
+    """1 when a generator's Pauli code on a qubit breaks a half-constraint:
+    marker -1 asks for no x part, any other marker for commuting with that
+    Pauli code."""
+    if marker == -1:
+        return code & 1  # x bit
+    return 0 if code in (0, marker) else 1
+
+
+class _Constraints:
+    """Constraint rows, each a (sub-round, ((qubit, marker), ...)) pair,
+    indexed by qubit once, so that the rows an operator breaks cost its
+    support rather than every row."""
+
+    def __init__(self, rows: list[tuple[int, tuple]]):
+        self.rows = rows
+        self.by_qubit: dict[int, list[tuple[int, int, int]]] = {}
+        for i, (s, row) in enumerate(rows):
+            for q, marker in row:
+                self.by_qubit.setdefault(q, []).append((i, s, marker))
+
+    def _broken(self, codes: dict[int, int], t: int) -> list[int]:
+        """Rows of sub-round t or later whose entries for codes XOR to 1."""
+        odd: set[int] = set()
+        for q, code in codes.items():
+            for i, s, marker in self.by_qubit.get(q, ()):
+                if s >= t and _entry(code, marker):
+                    odd ^= {i}
+        return list(odd)
+
+    def matrix(self, gens: list[tuple[int, dict[int, int]]]) -> np.ndarray:
+        """Rows × generators; generator j = (t, codes) is multiplied in at
+        sub-round t, so it enters only rows of sub-round t or later."""
+        A = np.zeros((len(self.rows), len(gens)), dtype=np.uint8)
+        for j, (t, codes) in enumerate(gens):
+            A[self._broken(codes, t), j] = 1
+        return A
+
+    def vector(self, codes: dict[int, int]) -> np.ndarray:
+        """The rows that the operator codes breaks, over all sub-rounds."""
+        b = np.zeros(len(self.rows), dtype=np.uint8)
+        b[self._broken(codes, 0)] = 1
+        return b
+
+
 # ---------------------------------------------------------------------------
 # symbolic run + determinism report
 
@@ -727,19 +753,32 @@ def _simulate(program: CircuitProgram) -> list[int]:
 
     Returns one mask over the symbolic random bits per record: a parity of
     records is deterministic exactly when the XOR of their masks is zero.
+    A record whose outcome is the fresh random bit k keeps ~k in place of
+    the mask 1 << k, which would take k / 8 bytes; _parity_mask reads both.
     """
-    tab = SymbolicTableau(program.n_qubits)
+    n = program.n_qubits
+    tab = SymbolicTableau(n)
     masks: list[int] = []
+
+    def check(qubits) -> None:
+        if any(not 0 <= q < n for q in qubits):
+            raise CircuitError(f"an instruction targets a qubit outside [0, {n})")
+
     for instr in program.instructions:
         if isinstance(instr, Reset):
+            check(instr.targets)
             for q in instr.targets:
                 tab.reset_z(q)
         elif isinstance(instr, BellPrep):
             for a, b in instr.pairs:
+                check((a, b))
                 tab.bell_prep(a, b)
         elif isinstance(instr, MeasurePP):
             for prod in instr.products:
-                masks.append(tab.measure(pack_pauli(program.n_qubits, dict(prod))).mask)
+                check(q for q, _ in prod)
+                k = tab.n_random_bits
+                out = tab.measure(pack_pauli(n, dict(prod)))
+                masks.append(~k if tab.n_random_bits > k else out.mask)
         elif isinstance(instr, (Depolarize1, Depolarize2)):
             continue
         else:
@@ -759,10 +798,12 @@ def _record_masks(program: CircuitProgram) -> list[int]:
 
 
 def _parity_mask(masks: list[int], records) -> int:
-    """XOR of the records' masks; zero exactly when their parity is deterministic."""
+    """XOR of the records' masks, each kept as _simulate keeps it; zero
+    exactly when their parity is deterministic."""
     out = 0
     for r in records:
-        out ^= masks[r]
+        m = masks[r]
+        out ^= m if m >= 0 else 1 << ~m
     return out
 
 

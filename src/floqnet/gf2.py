@@ -142,21 +142,14 @@ class PackedGF2Solver:
 
 
 def gf2_extend_basis(T: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Rows of K that extend span(T) to span(T)+span(K), greedily in order."""
-    T = (np.asarray(T) & 1).astype(np.uint8)
+    """Rows of K that extend span(T) to span(T)+span(K), greedily in order.
+
+    Row k of K is kept exactly when it is outside the span of T and of the
+    rows of K before it, that is when its column of [T^T | K^T] is a pivot
+    column, so one reduction finds them all.
+    """
     K = (np.asarray(K) & 1).astype(np.uint8)
-    cur = T.copy() if T.size else np.zeros((0, K.shape[1]), dtype=np.uint8)
-    rank = gf2_rank(cur)
-    out = []
-    for row in K:
-        trial = np.vstack([cur, row[None, :]])
-        r = gf2_rank(trial)
-        if r > rank:
-            out.append(row)
-            cur = trial
-            rank = r
-    return (
-        np.array(out, dtype=np.uint8)
-        if out
-        else np.zeros((0, K.shape[1]), dtype=np.uint8)
-    )
+    T = (np.asarray(T) & 1).astype(np.uint8).reshape(-1, K.shape[1])
+    _, pivots = gf2_rref(np.concatenate([T.T, K.T], axis=1))
+    keep = [c - T.shape[0] for c in pivots if c >= T.shape[0]]
+    return K[keep]

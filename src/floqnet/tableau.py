@@ -1,21 +1,29 @@
 """Stabilizer tableau with symbolic measurement outcomes.
 
 Tracks a stabilizer state under Pauli-product measurements, resets and Bell
-preparations.  Every non-deterministic measurement introduces a fresh
-symbolic random bit; outcome values are affine GF(2) functions of those
-bits.  A parity of outcomes is deterministic exactly when the symbolic
-masks cancel, which is the oracle used to certify detector and observable
-definitions.
+preparations (Aaronson and Gottesman, arXiv:quant-ph/0406196).  Every
+non-deterministic measurement introduces a fresh symbolic random bit;
+outcome values are affine GF(2) functions of those bits.  A parity of
+outcomes is deterministic exactly when the symbolic masks cancel, which is
+the oracle used to certify detector and observable definitions.
 
 Row convention: a row with bit vectors (x, z) and phase exponent e stands
 for i^e · ⊗_j P_j with P_j ∈ {I, X, Y, Z} read literally from (x_j, z_j).
+
+Layout: every bit vector is a Python int.  Row r of the 2n rows
+(destabilizers 0..n-1, stabilizers n..2n-1) holds x[r] and z[r], whose bit
+j is qubit j, a phase exponent phase[r] in 0..3, and masks[r], whose bit k
+is the k-th symbolic random bit.  The columns are kept as well: bit r of
+cols_x[j] (cols_z[j]) is set when row r has an x (z) bit at qubit j.  The
+rows anticommuting with a Pauli are then the XOR of cols_z over its x
+support and cols_x over its z support, and multiplying row p into a set S
+of rows XORs S into the columns of row p's support, so that each operation
+touches only the rows and qubits it changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["PauliWords", "Outcome", "SymbolicTableau", "pack_pauli"]
 
@@ -33,188 +41,166 @@ class Outcome:
 
 @dataclass
 class PauliWords:
-    x: np.ndarray
-    z: np.ndarray
+    """A Pauli product as x and z bitsets over the qubits (bit j is qubit j)."""
+
+    x: int
+    z: int
 
 
 def pack_pauli(n_qubits: int, terms: dict[int, str]) -> PauliWords:
     """Bit-packed Pauli from {qubit: 'X'|'Y'|'Z'}."""
-    words = (n_qubits + 63) // 64
-    x = np.zeros(words, dtype=np.uint64)
-    z = np.zeros(words, dtype=np.uint64)
+    x = z = 0
     for q, p in terms.items():
-        w, b = divmod(q, 64)
+        bit = 1 << q
         if p in ("X", "Y"):
-            x[w] |= np.uint64(1 << b)
+            x |= bit
         if p in ("Z", "Y"):
-            z[w] |= np.uint64(1 << b)
+            z |= bit
     return PauliWords(x, z)
 
 
-def _parity_per_row(words: np.ndarray) -> np.ndarray:
-    return (np.bitwise_count(words).sum(axis=1) & 1).astype(bool)
+def _bits(v: int):
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+def _log_i(x1: int, z1: int, x2: int, z2: int) -> int:
+    """i-exponent, mod 4, of the per-qubit products of rows (x1, z1) · (x2, z2).
+
+    Each anticommuting qubit gives i or -i, so the sum is the number of
+    anticommuting qubits plus twice the number that give -i: the pairs
+    YX, ZY and XZ, where x1 ^ z1 ^ x2 ^ z2 ^ (x1 & z2) is set.
+    """
+    x1z2 = x1 & z2
+    anti = (x2 & z1) ^ x1z2
+    minus = (x1 ^ z1 ^ x2 ^ z2 ^ x1z2) & anti
+    return anti.bit_count() + 2 * minus.bit_count()
 
 
 class SymbolicTableau:
     def __init__(self, n_qubits: int):
         self.n = n_qubits
-        self.words = (n_qubits + 63) // 64
-        rows = 2 * n_qubits
-        self.X = np.zeros((rows, self.words), dtype=np.uint64)
-        self.Z = np.zeros((rows, self.words), dtype=np.uint64)
+        n = n_qubits
         # destabilizers: rows 0..n-1 = X_i ; stabilizers: rows n..2n-1 = Z_i
-        for i in range(n_qubits):
-            w, b = divmod(i, 64)
-            self.X[i, w] |= np.uint64(1 << b)
-            self.Z[n_qubits + i, w] |= np.uint64(1 << b)
-        self.phase_exp = np.zeros(rows, dtype=np.uint8)  # i-exponent mod 4
-        self.mask_words = 1
-        self.masks = np.zeros((rows, self.mask_words), dtype=np.uint64)
+        self.x = [1 << i for i in range(n)] + [0] * n
+        self.z = [0] * n + [1 << i for i in range(n)]
+        self.phase = [0] * (2 * n)  # i-exponent mod 4
+        self.masks = [0] * (2 * n)
+        self.cols_x = [1 << i for i in range(n)]
+        self.cols_z = [1 << (n + i) for i in range(n)]
         self.n_random_bits = 0
 
-    # -- symbolic random bits -------------------------------------------------
+    # -- row operations --------------------------------------------------------
 
-    def _new_random_bit(self) -> int:
-        k = self.n_random_bits
-        self.n_random_bits += 1
-        if k >= 64 * self.mask_words:
-            grow = max(self.mask_words, 1)
-            self.masks = np.concatenate(
-                [self.masks, np.zeros((self.masks.shape[0], grow), dtype=np.uint64)],
-                axis=1,
-            )
-            self.mask_words += grow
-        return k
+    def _anticommuting(self, pauli: PauliWords) -> int:
+        """Bitset of the rows that anticommute with pauli."""
+        rows = 0
+        for q in _bits(pauli.x):
+            rows ^= self.cols_z[q]
+        for q in _bits(pauli.z):
+            rows ^= self.cols_x[q]
+        return rows
 
-    # -- phase arithmetic ------------------------------------------------------
+    def _rowsum(self, targets: int, p: int) -> None:
+        """row_t <- row_p · row_t for each row t in the bitset targets."""
+        xp, zp, ep, mp = self.x[p], self.z[p], self.phase[p], self.masks[p]
+        for t in _bits(targets):
+            xt, zt = self.x[t], self.z[t]
+            self.phase[t] = (self.phase[t] + ep + _log_i(xp, zp, xt, zt)) & 3
+            self.x[t] = xt ^ xp
+            self.z[t] = zt ^ zp
+            self.masks[t] ^= mp
+        for q in _bits(xp):
+            self.cols_x[q] ^= targets
+        for q in _bits(zp):
+            self.cols_z[q] ^= targets
 
-    def _g_exponent(self, p: int, targets: np.ndarray) -> np.ndarray:
-        """i-exponent of per-qubit products row_p · row_t, summed per target."""
-        xi, zi = self.X[p], self.Z[p]
-        xh, zh = self.X[targets], self.Z[targets]
-        plus = (xi & ~zi & xh & zh) | (xi & zi & ~xh & zh) | (~xi & zi & xh & ~zh)
-        minus = (xi & zi & xh & ~zh) | (~xi & zi & xh & zh) | (xi & ~zi & ~xh & zh)
-        return (
-            np.bitwise_count(plus).sum(axis=1).astype(np.int64)
-            - np.bitwise_count(minus).sum(axis=1).astype(np.int64)
-        )
+    def _set_row(self, r: int, x: int, z: int, phase: int, mask: int) -> None:
+        bit = 1 << r
+        for q in _bits(self.x[r] ^ x):
+            self.cols_x[q] ^= bit
+        for q in _bits(self.z[r] ^ z):
+            self.cols_z[q] ^= bit
+        self.x[r], self.z[r], self.phase[r], self.masks[r] = x, z, phase, mask
 
-    def _rowsum_into(self, targets: np.ndarray, p: int) -> None:
-        """row_t <- row_p · row_t for each target row t."""
-        if targets.size == 0:
-            return
-        g = self._g_exponent(p, targets)
-        self.phase_exp[targets] = (
-            self.phase_exp[targets].astype(np.int64) + self.phase_exp[p] + g
-        ) % 4
-        self.X[targets] ^= self.X[p]
-        self.Z[targets] ^= self.Z[p]
-        self.masks[targets] ^= self.masks[p]
+    def _collapse(self, pauli: PauliWords, anti: int) -> int:
+        """Project onto pauli's +1 eigenspace, given that the stabilizers in
+        the bitset anti anticommute with it.  The first of them multiplies
+        into every other anticommuting row, becomes the matching
+        destabilizer, and its stabilizer row becomes pauli with mask 0.
+        Returns that row."""
+        n = self.n
+        stab = anti >> n
+        p = n + (stab & -stab).bit_length() - 1
+        self._rowsum(anti ^ (1 << p), p)
+        self._set_row(p - n, self.x[p], self.z[p], self.phase[p], self.masks[p])
+        self._set_row(p, pauli.x, pauli.z, 0, 0)
+        return p
 
-    def _anticommute_rows(self, pauli: PauliWords) -> np.ndarray:
-        t = (self.X & pauli.z) ^ (self.Z & pauli.x)
-        return np.nonzero(_parity_per_row(t))[0]
+    def _determined(self, pauli: PauliWords, anti: int) -> Outcome:
+        """Outcome of pauli when no stabilizer anticommutes with it: the
+        product of the stabilizers paired with the anticommuting
+        destabilizers in the bitset anti."""
+        n = self.n
+        sx = sz = e = mask = 0
+        for i in _bits(anti):
+            p = i + n
+            xp, zp = self.x[p], self.z[p]
+            e = (e + self.phase[p] + _log_i(xp, zp, sx, sz)) & 3
+            sx ^= xp
+            sz ^= zp
+            mask ^= self.masks[p]
+        if sx != pauli.x or sz != pauli.z:
+            raise RuntimeError("deterministic measurement does not match tableau")
+        if e & 1:
+            raise RuntimeError("imaginary phase on a deterministic outcome")
+        return Outcome(e >> 1, mask)
 
     # -- operations ------------------------------------------------------------
 
     def measure(self, pauli: PauliWords) -> Outcome:
         """Measure a (real, +1-phased) Pauli product; return its outcome."""
-        n = self.n
-        anti = self._anticommute_rows(pauli)
-        anti_stab = anti[anti >= n]
-        if anti_stab.size:
-            p = int(anti_stab[0])
-            others = anti[anti != p]
-            self._rowsum_into(others, p)
-            # old stabilizer becomes the matching destabilizer
-            d = p - n
-            self.X[d] = self.X[p]
-            self.Z[d] = self.Z[p]
-            self.phase_exp[d] = self.phase_exp[p]
-            self.masks[d] = self.masks[p]
-            k = self._new_random_bit()
-            self.X[p] = pauli.x
-            self.Z[p] = pauli.z
-            self.phase_exp[p] = 0
-            self.masks[p] = 0
-            w, b = divmod(k, 64)
-            self.masks[p, w] = np.uint64(1 << b)
+        anti = self._anticommuting(pauli)
+        if anti >> self.n:
+            p = self._collapse(pauli, anti)
+            k = self.n_random_bits
+            self.n_random_bits += 1
+            self.masks[p] = 1 << k
             return Outcome(0, 1 << k)
-        # deterministic: accumulate stabilizer rows indexed by anticommuting
-        # destabilizers into a scratch row
-        anti_destab = anti[anti < n]
-        sx = np.zeros(self.words, dtype=np.uint64)
-        sz = np.zeros(self.words, dtype=np.uint64)
-        sexp = 0
-        smask = np.zeros(self.mask_words, dtype=np.uint64)
-        for i in anti_destab:
-            p = int(i) + n
-            xi, zi = self.X[p], self.Z[p]
-            plus = (xi & ~zi & sx & sz) | (xi & zi & ~sx & sz) | (~xi & zi & sx & ~sz)
-            minus = (xi & zi & sx & ~sz) | (~xi & zi & sx & sz) | (xi & ~zi & ~sx & sz)
-            g = int(np.bitwise_count(plus).sum()) - int(np.bitwise_count(minus).sum())
-            sexp = (sexp + int(self.phase_exp[p]) + g) % 4
-            sx ^= xi
-            sz ^= zi
-            smask = smask ^ self.masks[p]
-        if not (np.array_equal(sx, pauli.x) and np.array_equal(sz, pauli.z)):
-            raise RuntimeError("deterministic measurement does not match tableau")
-        if sexp % 2 != 0:
-            raise RuntimeError("imaginary phase on a deterministic outcome")
-        return Outcome((sexp // 2) % 2, int.from_bytes(smask.tobytes(), "little"))
+        return self._determined(pauli, anti)
 
     def apply_pauli_conditional(self, pauli: PauliWords, symbol: Outcome) -> None:
         """Conjugate by a Pauli applied iff the symbolic value is 1."""
         if symbol.bit == 0 and symbol.mask == 0:
             return
-        anti = self._anticommute_rows(pauli)
-        if anti.size == 0:
-            return
-        if symbol.bit:
-            self.phase_exp[anti] = (self.phase_exp[anti] + 2) % 4
-        if symbol.mask:
-            add = np.frombuffer(
-                symbol.mask.to_bytes(self.mask_words * 8, "little"), dtype=np.uint64
-            )
-            self.masks[anti] ^= add
-        return
+        for r in _bits(self._anticommuting(pauli)):
+            if symbol.bit:
+                self.phase[r] = (self.phase[r] + 2) & 3
+            self.masks[r] ^= symbol.mask
 
     def measure_forced(self, pauli: PauliWords) -> None:
         """Measure and force the +1 outcome (projective preparation)."""
-        n = self.n
-        anti = self._anticommute_rows(pauli)
-        anti_stab = anti[anti >= n]
-        if anti_stab.size:
-            p = int(anti_stab[0])
-            others = anti[anti != p]
-            self._rowsum_into(others, p)
-            d = p - n
-            self.X[d] = self.X[p]
-            self.Z[d] = self.Z[p]
-            self.phase_exp[d] = self.phase_exp[p]
-            self.masks[d] = self.masks[p]
-            self.X[p] = pauli.x
-            self.Z[p] = pauli.z
-            self.phase_exp[p] = 0
-            self.masks[p] = 0
+        anti = self._anticommuting(pauli)
+        if anti >> self.n:
+            self._collapse(pauli, anti)
             return
-        out = self.measure(pauli)
+        out = self._determined(pauli, anti)
         if out.bit or out.mask:
             # correct with any anticommuting single-qubit Pauli
-            corr = self._anticommuting_single(pauli)
-            self.apply_pauli_conditional(corr, out)
+            self.apply_pauli_conditional(self._anticommuting_single(pauli), out)
 
     def _anticommuting_single(self, pauli: PauliWords) -> PauliWords:
-        for w in range(self.words):
-            word = int(pauli.x[w])
-            if word:
-                b = (word & -word).bit_length() - 1
-                return pack_pauli(self.n, {64 * w + b: "Z"})
-            word = int(pauli.z[w])
-            if word:
-                b = (word & -word).bit_length() - 1
-                return pack_pauli(self.n, {64 * w + b: "X"})
-        raise ValueError("identity Pauli has no anticommuting partner")
+        """Z on the lowest qubit of pauli's support if pauli has an x bit
+        there, else X."""
+        support = pauli.x | pauli.z
+        if not support:
+            raise ValueError("identity Pauli has no anticommuting partner")
+        low = support & -support
+        q = low.bit_length() - 1
+        return pack_pauli(self.n, {q: "Z" if pauli.x & low else "X"})
 
     def reset_z(self, q: int) -> None:
         self.measure_forced(pack_pauli(self.n, {q: "Z"}))

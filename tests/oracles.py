@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
+from floqnet import gf2
 from floqnet.circuit import (
     BellPrep,
     CircuitError,
@@ -15,6 +16,7 @@ from floqnet.circuit import (
     Depolarize2,
     MeasurePP,
     Reset,
+    _entry,
 )
 from floqnet.sim import _CHUNK, _PCODE, ShotBatch, _annotation_rng, _sample_events
 
@@ -29,14 +31,18 @@ _P1 = {
 class StatevectorSim:
     """Dense simulator of Pauli-product measurements on few qubits.
 
-    Random outcomes always take the +1 branch, matching the reference
-    convention of the production simulator (symbolic random bits = 0).
+    The k-th random outcome of measure takes branches[k] (0 past its end,
+    the +1 branch, matching the production simulator with every symbolic
+    random bit 0).  The projections inside reset_z and bell_prep take the
+    +1 branch and draw no branch.
     """
 
-    def __init__(self, n_qubits: int):
+    def __init__(self, n_qubits: int, branches=()):
         self.n = n_qubits
         self.psi = np.zeros(2**n_qubits, dtype=complex)
         self.psi[0] = 1.0
+        self.branches = tuple(branches)
+        self.n_random = 0
 
     def _pauli_matrix(self, terms: dict[int, str]) -> np.ndarray:
         mats = [_P1[terms.get(q, "I")] for q in range(self.n)]
@@ -48,32 +54,73 @@ class StatevectorSim:
     def apply_pauli(self, terms: dict[int, str]) -> None:
         self.psi = self._pauli_matrix(terms) @ self.psi
 
-    def measure(self, terms: dict[int, str]) -> tuple[int, bool]:
-        """Measure a Pauli product. Returns (outcome_bit, was_deterministic)."""
+    def _collapse(self, terms: dict[int, str], branch: int) -> tuple[int, bool]:
+        """Project onto an outcome of a Pauli product, branch if it is random.
+        Returns (outcome_bit, was_deterministic)."""
         P = self._pauli_matrix(terms)
         plus = 0.5 * (self.psi + P @ self.psi)
         p0 = float(np.vdot(plus, plus).real)
         if p0 > 1 - 1e-9:
-            self.psi = plus / np.sqrt(p0)
-            return 0, True
-        if p0 < 1e-9:
-            minus = 0.5 * (self.psi - P @ self.psi)
-            self.psi = minus / np.sqrt(float(np.vdot(minus, minus).real))
-            return 1, True
-        self.psi = plus / np.sqrt(p0)
-        return 0, False
+            bit, det = 0, True
+        elif p0 < 1e-9:
+            bit, det = 1, True
+        else:
+            bit, det = branch, False
+        post = 0.5 * (self.psi + (-1) ** bit * (P @ self.psi))
+        self.psi = post / np.sqrt(float(np.vdot(post, post).real))
+        return bit, det
+
+    def measure(self, terms: dict[int, str]) -> tuple[int, bool]:
+        """Measure a Pauli product. Returns (outcome_bit, was_deterministic)."""
+        k = self.n_random
+        bit, det = self._collapse(terms, self.branches[k] if k < len(self.branches) else 0)
+        if not det:
+            self.n_random += 1
+        return bit, det
 
     def reset_z(self, q: int) -> None:
-        bit, _ = self.measure({q: "Z"})
+        bit, _ = self._collapse({q: "Z"}, 0)
         if bit:
             self.apply_pauli({q: "X"})
 
     def bell_prep(self, a: int, b: int) -> None:
         self.reset_z(a)
         self.reset_z(b)
-        bit, det = self.measure({a: "X", b: "X"})
+        bit, _ = self._collapse({a: "X", b: "X"}, 0)
         if bit:
             self.apply_pauli({a: "Z"})
+
+
+def reference_constraint_matrix(gens, rows) -> np.ndarray:
+    """Every generator against every constraint row: A[i, j] is the XOR of
+    the entries of generator j = (t, codes) on the half-constraints of row
+    i = (s, ((qubit, marker), ...)), and 0 where t > s."""
+    A = np.zeros((len(rows), len(gens)), dtype=np.uint8)
+    for j, (t, codes) in enumerate(gens):
+        for i, (s, row) in enumerate(rows):
+            if t > s:
+                continue
+            val = 0
+            for q, marker in row:
+                val ^= _entry(codes.get(q, 0), marker)
+            A[i, j] = val
+    return A
+
+
+def reference_extend_basis(T: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Rows of K that raise the rank of T and the rows kept before them,
+    tried one at a time in order."""
+    cur = np.asarray(T, dtype=np.uint8).reshape(-1, K.shape[1])
+    rank = gf2.gf2_rank(cur)
+    out = []
+    for row in K:
+        trial = np.vstack([cur, row[None, :]])
+        r = gf2.gf2_rank(trial)
+        if r > rank:
+            out.append(row)
+            cur = trial
+            rank = r
+    return np.array(out, dtype=np.uint8).reshape(-1, K.shape[1])
 
 
 def _qubit_timelines(circuit: CircuitProgram):

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from floqnet import circuit as circuit_module
@@ -30,6 +31,8 @@ from floqnet.lattice import (
 from floqnet.partition import partition_code
 from floqnet.sim import sample_shots
 
+from oracles import reference_constraint_matrix
+
 
 @pytest.fixture(scope="module")
 def hc():
@@ -46,8 +49,9 @@ def test_noise_params_validation():
         NoiseParams(-0.1, 0.0)
     with pytest.raises(CircuitError):
         NoiseParams(0.0, 1.5)
-    with pytest.raises(CircuitError):
-        NoiseParams(0.0, 0.0, bell_wait_cycles=-1)
+    for cycles in (-1, 2.5, True):
+        with pytest.raises(CircuitError):
+            NoiseParams(0.0, 0.0, bell_wait_cycles=cycles)
     assert NoiseParams(1e-3, 1e-2).bell_wait_cycles == 5
 
 
@@ -169,8 +173,9 @@ def test_determinism_catches_corrupted_observable(hc):
 
 
 def test_rejects_bad_round_count(hc):
-    with pytest.raises(CircuitError):
-        build_memory_circuit(hc, None, NoiseParams(0, 0), 0)
+    for rounds in (0, 1.5, True):
+        with pytest.raises(CircuitError):
+            build_memory_circuit(hc, None, NoiseParams(0, 0), rounds)
     with pytest.raises(CircuitError):
         build_memory_circuit(hc, None, NoiseParams(0, 0), 1, basis="X")
 
@@ -247,3 +252,69 @@ def test_sampling_a_hand_built_program_runs_no_tableau(monkeypatch):
     )
     batch = sample_shots(program, 7, 200)
     assert batch.detectors.any()
+
+
+@pytest.mark.parametrize("L, n_qpu", [(3, None), (6, 40)])
+def test_constraint_rows_match_all_pairs_oracle(monkeypatch, L, n_qpu):
+    # every constraint matrix and vector the observable tracker builds by
+    # walking generators through its qubit index equals the all-pairs loop
+    built = []
+    cls = circuit_module._Constraints
+    real_matrix, real_vector = cls.matrix, cls.vector
+
+    def matrix(self, gens):
+        A = real_matrix(self, gens)
+        built.append((self.rows, gens, A))
+        return A
+
+    def vector(self, codes):
+        b = real_vector(self, codes)
+        built.append((self.rows, [(0, dict(codes))], b[:, None]))
+        return b
+
+    monkeypatch.setattr(cls, "matrix", matrix)
+    monkeypatch.setattr(cls, "vector", vector)
+    lat = generate_honeycomb_torus(L, L)
+    part = partition_code(lat, n_qpu) if n_qpu else None
+    build_memory_circuit(lat, part, NoiseParams(1e-3, 1e-2), 2)
+    assert sum(A.shape[1] > 1 for _, _, A in built) >= 7  # window + 6 sub-rounds
+    for rows, gens, A in built:
+        assert np.array_equal(A, reference_constraint_matrix(gens, rows))
+
+
+def test_measure_rejects_unknown_pauli():
+    with pytest.raises(CircuitError, match="'Q'"):
+        MeasurePP(0.0, (((1, "Q"),),))
+    with pytest.raises(CircuitError):
+        MeasurePP(0.0, (((0, "Z"), (1, "x")),))
+
+
+def _two_qubit_program(instructions, n_records):
+    return CircuitProgram(
+        name="hand",
+        n_qubits=2,
+        data_qubits=(0, 1),
+        bell_ancillas=(),
+        instructions=instructions,
+        detectors=(),
+        observables=(),
+        n_records=n_records,
+    )
+
+
+@pytest.mark.parametrize(
+    "instructions, n_records",
+    [
+        ((Reset((0, 1)), MeasurePP(0.0, (((0, "Z"), (2, "Z")),))), 1),
+        ((Reset((0, 1)), MeasurePP(0.0, (((-1, "X"),),))), 1),
+        ((Reset((0, 2)),), 0),
+        ((BellPrep(((1, 2),)),), 0),
+    ],
+    ids=["measured-past-end", "measured-negative", "reset-past-end", "bell-past-end"],
+)
+def test_qubit_out_of_range_raises_circuit_error(instructions, n_records):
+    program = _two_qubit_program(instructions, n_records)
+    with pytest.raises(CircuitError, match="outside"):
+        validate_determinism(program)
+    with pytest.raises(CircuitError, match="outside"):
+        sample_shots(program, 0, 10)

@@ -118,3 +118,73 @@ def test_symbolic_masks_track_pauli_frames():
         if det:
             anti = sum(1 for q, p in terms.items() if q == 1 and p != "X") % 2
             assert bit == sym.bit ^ anti
+
+
+@st.composite
+def _branched_program(draw):
+    """A random program on up to 6 qubits, with products of up to 3 qubits,
+    and one branch bit per possible random outcome."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=24))):
+        kind = draw(st.sampled_from(["measure", "measure", "reset", "bell"]))
+        if kind == "measure":
+            support = draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=n - 1),
+                    min_size=1,
+                    max_size=min(3, n),
+                    unique=True,
+                )
+            )
+            ops.append(("measure", {q: draw(st.sampled_from(_PAULIS)) for q in support}))
+        elif kind == "reset":
+            ops.append(("reset", draw(st.integers(min_value=0, max_value=n - 1))))
+        elif n >= 2:
+            a, b = draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=n - 1),
+                    min_size=2,
+                    max_size=2,
+                    unique=True,
+                )
+            )
+            ops.append(("bell", (a, b)))
+    branches = draw(st.lists(st.integers(0, 1), min_size=len(ops), max_size=len(ops)))
+    return n, ops, branches
+
+
+@given(_branched_program())
+@settings(max_examples=150, deadline=None)
+def test_outcomes_match_statevector_on_every_branch(prog):
+    # the symbolic outcome (bit, mask) evaluated at the branch choices gives
+    # the statevector's outcome on that branch, for every measurement
+    n, ops, branches = prog
+    chosen = sum(b << k for k, b in enumerate(branches))
+    tab = SymbolicTableau(n)
+    sv = StatevectorSim(n, branches)
+    for op, arg in ops:
+        if op == "measure":
+            sym = tab.measure(pack_pauli(n, arg))
+            bit, _ = sv.measure(arg)
+            assert bit == sym.bit ^ ((sym.mask & chosen).bit_count() & 1)
+        elif op == "reset":
+            tab.reset_z(arg)
+            sv.reset_z(arg)
+        else:
+            tab.bell_prep(*arg)
+            sv.bell_prep(*arg)
+    assert tab.n_random_bits == sv.n_random
+
+
+def test_inconsistent_deterministic_outcome_raises():
+    # stabilizer rows that do not generate the measured product
+    t = SymbolicTableau(2)
+    t._set_row(2, 0, 0, 0, 0)
+    with pytest.raises(RuntimeError, match="does not match tableau"):
+        t.measure(pack_pauli(2, {0: "Z"}))
+    # a stabilizer with phase i
+    t = SymbolicTableau(1)
+    t.phase[1] = 1
+    with pytest.raises(RuntimeError, match="imaginary phase"):
+        t.measure(pack_pauli(1, {0: "Z"}))
