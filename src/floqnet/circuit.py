@@ -115,6 +115,8 @@ class MeasurePP:
             for _, p in prod:
                 if p not in _CODE:
                     raise CircuitError(f"Pauli {p!r} is not one of X, Y, Z")
+            if len({q for q, _ in prod}) != len(prod):
+                raise CircuitError(f"product {prod!r} names a qubit twice")
 
 
 @dataclass(frozen=True)

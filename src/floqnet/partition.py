@@ -3,36 +3,43 @@
 Clusters must satisfy (3/2)·|V_i| < n_qpu so that every data qubit fits on
 its processor with headroom for check ancillas.  Edges inside a cluster are
 local checks E_i; everything else is the non-local check set E'.
+
+Each bisection splits a cluster at the median of a Fiedler vector: one dense
+``np.linalg.eigh`` of the cluster's Laplacian, then the projection of a seeded
+Gaussian vector onto the eigenspace of λ₂.  The eigenspace holds every
+eigenvalue within a relative _DEGENERATE_RTOL of λ₂, so a degenerate λ₂ (the
+9×9 and 12×12 tori have multiplicity 6) gives a vector chosen by the seed,
+not by the solver.  The dense Laplacian costs n² floats for an n-vertex
+cluster, about 2 GB at n ≈ 16k.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from floqnet.lattice import Lattice
 
 __all__ = [
     "Partition",
     "PartitionError",
-    "EigensolverError",
-    "fiedler_vector",
-    "spectral_bisect",
     "partition_code",
     "partition_stats",
     "validate_partition",
 ]
 
+# Eigenvalues within this relative distance of λ₂ count as λ₂.  It sits far
+# above eigh's rounding (about 1e-15·λmax) and far below the gaps of the
+# lattices' non-degenerate spectra.
+_DEGENERATE_RTOL = 1e-8
+
 
 class PartitionError(ValueError):
-    pass
-
-
-class EigensolverError(RuntimeError):
     pass
 
 
@@ -54,154 +61,82 @@ class Partition:
         return out
 
 
-def _connected_components(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def fiedler_vector(
-    n_vertices: int,
-    edges: Sequence[tuple[int, int]],
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Unit eigenvector of the graph Laplacian's second-smallest eigenvalue.
-
-    Shifted inverse power iteration with the all-ones vector deflated at
-    every step; converges when the Laplacian residual drops below ``tol``
-    (scaled by the maximum degree).  Raises EigensolverError after 10·|V|
-    iterations without convergence.
-    """
-    if n_vertices < 2:
-        raise PartitionError("fiedler vector requires at least 2 vertices")
-    if len(_connected_components(n_vertices, edges)) != 1:
-        raise PartitionError("fiedler vector is undefined on disconnected graphs")
-
-    rows, cols, vals = [], [], []
-    deg = np.zeros(n_vertices)
-    for u, v in edges:
-        rows += [u, v]
-        cols += [v, u]
-        vals += [-1.0, -1.0]
-        deg[u] += 1
-        deg[v] += 1
-    L = sp.csc_matrix(
-        (
-            vals + list(deg),
-            (rows + list(range(n_vertices)), cols + list(range(n_vertices))),
-        ),
+def _adjacency(n_vertices: int, edges: Sequence[tuple[int, int]]) -> sp.csr_matrix:
+    """Symmetric adjacency matrix; a repeated edge adds its multiplicity."""
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    return sp.csr_matrix(
+        (np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])),
         shape=(n_vertices, n_vertices),
     )
-    sigma = 1e-6 * max(1.0, float(deg.max()))
-    solver = spla.splu((L + sigma * sp.identity(n_vertices, format="csc")).tocsc())
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n_vertices)
-    v -= v.mean()
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        v = np.arange(n_vertices) - (n_vertices - 1) / 2.0
-        nrm = np.linalg.norm(v)
-    v /= nrm
-
-    max_iter = 10 * n_vertices
-    for _ in range(max_iter):
-        w = solver.solve(v)
-        w -= w.mean()
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            raise EigensolverError("inverse iteration collapsed to zero")
-        v = w / nrm
-        lam = float(v @ (L @ v))
-        resid = np.linalg.norm(L @ v - lam * v)
-        if resid <= tol * max(1.0, float(deg.max())):
-            return v
-    raise EigensolverError(
-        f"inverse power iteration did not reach residual {tol} in {max_iter} steps"
-    )
 
 
-def spectral_bisect(
-    n_vertices: int,
-    edges: Sequence[tuple[int, int]],
-    seed: int = 0,
-) -> tuple[list[int], list[int]]:
+def _components(adj: sp.csr_matrix, idx: np.ndarray) -> list[np.ndarray]:
+    """The vertices idx grouped by the connected components of adj[idx][:, idx]."""
+    k, labels = connected_components(adj[idx][:, idx], directed=False)
+    return [idx[labels == c] for c in range(k)]
+
+
+def _fiedler_vector(adj: sp.csr_matrix, seed: int = 0) -> np.ndarray:
+    """Unit vector in the graph Laplacian's λ₂ eigenspace.
+
+    It is the normalised projection of ``default_rng(seed).standard_normal(n)``
+    onto the eigenvectors whose eigenvalues lie within _DEGENERATE_RTOL·λ₂ of
+    λ₂, so the seed picks the direction when λ₂ is degenerate.
+    """
+    n = adj.shape[0]
+    if n < 2 or connected_components(adj, directed=False)[0] != 1:
+        raise PartitionError("the Fiedler vector needs a connected graph on >= 2 vertices")
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    w, vecs = np.linalg.eigh((sp.diags(deg) - adj).toarray())
+    space = vecs[:, 1 : 1 + np.count_nonzero(w[1:] - w[1] <= _DEGENERATE_RTOL * w[1])]
+    f = space @ (space.T @ np.random.default_rng(seed).standard_normal(n))
+    return f / np.linalg.norm(f)
+
+
+def _spectral_bisect(adj: sp.csr_matrix, seed: int = 0) -> tuple[list[int], list[int]]:
     """Split vertices at the Fiedler median into parts differing by <= 1.
 
     Vertices tied at the median go to the smaller (first) part in ascending
     id order.
     """
-    if n_vertices == 2:
+    n = adj.shape[0]
+    if n == 2:
         return [0], [1]
-    f = fiedler_vector(n_vertices, edges, seed=seed)
-    order = sorted(range(n_vertices), key=lambda i: (f[i], i))
-    cut = n_vertices // 2
-    return sorted(order[:cut]), sorted(order[cut:])
+    order = np.argsort(_fiedler_vector(adj, seed), kind="stable").tolist()
+    return sorted(order[: n // 2]), sorted(order[n // 2 :])
 
 
 def partition_code(lattice: Lattice, n_qpu: int, seed: int = 0) -> Partition:
     """Recursive spectral bisection until (3/2)|V_i| < n_qpu everywhere.
 
-    Disconnected intermediate clusters are split into their connected
-    components before further bisection.
+    Each cluster that is too large is split at the median of its Fiedler
+    vector (see the module docstring), and each half is split again into its
+    connected components.  ``seed`` picks the direction of that vector inside
+    a degenerate λ₂ eigenspace and changes nothing otherwise.  Every
+    bisection solves a dense eigenproblem of the cluster's size, so memory
+    grows as n² in the lattice's vertex count.
     """
+    if isinstance(n_qpu, bool) or not isinstance(n_qpu, numbers.Integral):
+        raise PartitionError(f"n_qpu must be an integer, not {n_qpu!r}")
     if n_qpu < 5:
         raise PartitionError("n_qpu must be at least 5")
     all_edges = [(e.u, e.v) for e in lattice.edges]
-    work = _connected_components(lattice.n_vertices, all_edges)
-    covered = sum(len(c) for c in work)
-    if covered != lattice.n_vertices:
-        raise PartitionError("lattice has isolated vertices")
+    adj = _adjacency(lattice.n_vertices, all_edges)
 
-    done: list[list[int]] = []
+    done: list[np.ndarray] = []
+    work = _components(adj, np.arange(lattice.n_vertices))
     while work:
-        cluster = work.pop()
-        if 3 * len(cluster) < 2 * n_qpu:
-            done.append(cluster)
+        idx = work.pop()
+        if 3 * len(idx) < 2 * n_qpu:
+            done.append(idx)
             continue
-        index = {v: i for i, v in enumerate(cluster)}
-        sub_edges = [
-            (index[u], index[v]) for u, v in all_edges if u in index and v in index
-        ]
-        left, right = spectral_bisect(len(cluster), sub_edges, seed=seed)
-        for part in (left, right):
-            verts = [cluster[i] for i in part]
-            inpart = [False] * len(cluster)
-            for i in part:
-                inpart[i] = True
-            relabel = {v: i for i, v in enumerate(part)}
-            comp_edges = [
-                (relabel[u], relabel[v])
-                for u, v in sub_edges
-                if inpart[u] and inpart[v]
-            ]
-            for comp in _connected_components(len(verts), comp_edges):
-                work.append(sorted(verts[i] for i in comp))
+        for half in _spectral_bisect(adj[idx][:, idx], seed=seed):
+            work += _components(adj, idx[half])
 
     done.sort(key=lambda c: c[0])
-    vert_cluster: dict[int, int] = {}
-    for i, verts in enumerate(done):
-        for v in verts:
-            vert_cluster[v] = i
+    vert_cluster = np.empty(lattice.n_vertices, dtype=np.int64)
+    for i, idx in enumerate(done):
+        vert_cluster[idx] = i
 
     local: list[list[int]] = [[] for _ in done]
     nonlocal_edges = []
@@ -214,7 +149,7 @@ def partition_code(lattice: Lattice, n_qpu: int, seed: int = 0) -> Partition:
 
     part = Partition(
         clusters=tuple(
-            (frozenset(verts), tuple(local[i])) for i, verts in enumerate(done)
+            (frozenset(idx.tolist()), tuple(local[i])) for i, idx in enumerate(done)
         ),
         nonlocal_edges=tuple(nonlocal_edges),
         n_qpu=n_qpu,

@@ -35,9 +35,6 @@ class Outcome:
     bit: int
     mask: int
 
-    def __xor__(self, other: "Outcome") -> "Outcome":
-        return Outcome(self.bit ^ other.bit, self.mask ^ other.mask)
-
 
 @dataclass
 class PauliWords:

@@ -289,6 +289,12 @@ def test_measure_rejects_unknown_pauli():
         MeasurePP(0.0, (((0, "Z"), (1, "x")),))
 
 
+def test_measure_rejects_repeated_qubit():
+    # X0·Z0 is not Hermitian; the tableau and the sampler read it differently
+    with pytest.raises(CircuitError, match="twice"):
+        MeasurePP(0.0, (((0, "X"), (0, "Z")),))
+
+
 def _two_qubit_program(instructions, n_records):
     return CircuitProgram(
         name="hand",
