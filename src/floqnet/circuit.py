@@ -214,56 +214,34 @@ def find_logical_observables(lat: Lattice) -> LogicalOperatorSet:
     """
     validate_lattice(lat)
     n = lat.n_vertices
-    face_sets = _face_vertex_sets(lat)
+    face_rows = [sum(1 << v for v in verts) for verts in _face_vertex_sets(lat)]
 
-    def rows_for(face_color: int, edge_color: int) -> np.ndarray:
-        rows = []
-        for fi, f in enumerate(lat.faces):
-            if f.color == face_color:
-                r = np.zeros(n, dtype=np.uint8)
-                r[list(face_sets[fi])] = 1
-                rows.append(r)
-        for e in lat.edges:
-            if e.color == edge_color:
-                r = np.zeros(n, dtype=np.uint8)
-                r[e.u] = 1
-                r[e.v] = 1
-                rows.append(r)
-        if not rows:
-            return np.zeros((0, n), dtype=np.uint8)
-        return np.array(rows, dtype=np.uint8)
+    def rows_of(color: int) -> list[int]:
+        # the faces and the checks of one colour, as vertex-set rows
+        faces = [face_rows[fi] for fi, f in enumerate(lat.faces) if f.color == color]
+        return faces + [1 << e.u | 1 << e.v for e in lat.edges if e.color == color]
 
-    m01_rows = []
-    for fi, f in enumerate(lat.faces):
-        if f.color in (0, 1):
-            r = np.zeros(n, dtype=np.uint8)
-            r[list(face_sets[fi])] = 1
-            m01_rows.append(r)
-    M01 = (
-        np.array(m01_rows, dtype=np.uint8)
-        if m01_rows
-        else np.zeros((0, n), dtype=np.uint8)
+    kernel = gf2.nullspace(
+        [face_rows[fi] for fi, f in enumerate(lat.faces) if f.color in (0, 1)], n
     )
-
-    kernel = gf2.gf2_nullspace(M01)
-    span_x = rows_for(0, 0)
-    span_y = rows_for(1, 1)
-    span_z = rows_for(2, 2)
     # stabilizer-valued Z-type sets: Z-colour faces and checks directly, plus
     # X-type and Y-type products that share a support (their product is Z-type)
-    xy = gf2.gf2_intersection(span_x, span_y)
-    trivial = gf2.gf2_rowspace_basis(np.vstack([span_z, xy]) if xy.size else span_z)
+    trivial = gf2.rref(rows_of(2) + gf2.intersection(rows_of(0), rows_of(1), n))
     # the kernel basis has full rank, so trivial lies in its span exactly
     # when stacking them adds no rank
-    if gf2.gf2_rank(np.vstack([kernel, trivial])) != kernel.shape[0]:
+    if gf2.rank(kernel + trivial) != len(kernel):
         raise CircuitError("stabilizer-valued set escapes the commutant kernel")
-    reps = gf2.gf2_extend_basis(trivial, kernel)
-    if reps.shape[0] != 2 * lat.genus:
+    reps = gf2.extend_basis(trivial, kernel)
+    if len(reps) != 2 * lat.genus:
         raise CircuitError(
-            f"homology rank {reps.shape[0]} does not match 2g = {2 * lat.genus}; "
+            f"homology rank {len(reps)} does not match 2g = {2 * lat.genus}; "
             "lattice is corrupt"
         )
-    return LogicalOperatorSet(supports=reps, genus=lat.genus)
+    # the public supports: bit v of each representative as one uint8
+    width = -(-n // 8)
+    raw = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in reps), np.uint8)
+    supports = np.unpackbits(raw, bitorder="little").reshape(len(reps), 8 * width)
+    return LogicalOperatorSet(supports=supports[:, :n].copy(), genus=lat.genus)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +261,8 @@ def build_memory_circuit(
     partition: Optional[Partition],
     noise: NoiseParams,
     n_detector_rounds: int,
-    basis: str = "Z",
 ) -> CircuitProgram:
     """Compile a Z-basis memory experiment over 6·n_detector_rounds sub-rounds."""
-    if basis != "Z":
-        raise CircuitError("only the Z memory basis is supported")
     _check_count("n_detector_rounds", n_detector_rounds, 1)
     validate_lattice(lattice)
     if partition is None:
@@ -612,19 +587,6 @@ def _track_observables(
                 rows.append(((q, -1),))  # -1 marks an "x-part must vanish" row
         return rows
 
-    solvers: dict[int, tuple] = {}
-
-    def solver_for(s: int):
-        key = s if s <= 3 else 4 + (s % 6)
-        if key in solvers:
-            return solvers[key]
-        gens = generators_for(s)
-        rows = _Constraints([(s, row) for row in constraint_rows(s)])
-        A = rows.matrix([(s, codes) for codes, _ in gens])
-        solver = (gf2.PackedGF2Solver(A), gens, rows)
-        solvers[key] = solver
-        return solver
-
     def gen_records(spec: tuple, s: int) -> list[int]:
         if spec[0] == "none":
             return []
@@ -636,18 +598,23 @@ def _track_observables(
 
     # The first six repairs interlock (early generators are scarce), so they
     # are solved jointly: choosing generator subsets r_0..r_5 is a triangular
-    # GF(2) system because sub-round s only constrains r_0..r_s.
+    # GF(2) system because sub-round s only constrains r_0..r_s.  Later
+    # sub-rounds are repaired one at a time, and their systems repeat with
+    # period 6.
     window = min(6, n_sub)
-    win_gens: list[tuple[int, dict[int, int], tuple]] = []
-    for t in range(window):
-        for codes, spec in generators_for(t):
-            win_gens.append((t, codes, spec))
-    win_rows = _Constraints(
-        [(s, row) for s in range(window) for row in constraint_rows(s)]
-    )
-    window_solver = gf2.PackedGF2Solver(
-        win_rows.matrix([(t, codes) for t, codes, _ in win_gens])
-    )
+    solvers: dict[int, tuple] = {}
+
+    def solver_for(s: int):
+        """(solver, generators (t, codes, spec), constraint rows) for the
+        repair at sub-round s, or for the whole window when s < window."""
+        key = -1 if s < window else s % 6
+        if key not in solvers:
+            subs = range(window) if s < window else (s,)
+            gens = [(t, codes, spec) for t in subs for codes, spec in generators_for(t)]
+            rows = _Constraints([(t, row) for t in subs for row in constraint_rows(t)])
+            solver = gf2.ColumnSolver(rows.matrix([(t, codes) for t, codes, _ in gens]))
+            solvers[key] = (solver, gens, rows)
+        return solvers[key]
 
     observables = []
     for k in range(len(logicals)):
@@ -655,41 +622,24 @@ def _track_observables(
             int(v): _CODE["Z"] for v in np.nonzero(logicals.supports[k])[0]
         }
         records: set[int] = set()
-
-        x = window_solver.solve(win_rows.vector(op))
-        if x is None:
-            raise CircuitError(
-                f"observable {k} cannot be kept commuting through warmup"
-            )
-        for j in np.nonzero(x)[0]:
-            t, codes, spec = win_gens[j]
-            for q, code in codes.items():
-                new = op.get(q, 0) ^ code
-                if new:
-                    op[q] = new
-                else:
-                    op.pop(q, None)
-            records.symmetric_difference_update(gen_records(spec, t))
-
-        for s in range(window, n_sub):
+        for s in range(window - 1, n_sub):
             solver, gens, rows = solver_for(s)
-            b = rows.vector(op)
-            if not b.any():
-                continue
-            x = solver.solve(b)
+            x = solver.solve(rows.vector(op))
             if x is None:
-                raise CircuitError(
-                    f"observable {k} cannot be kept commuting at sub-round {s}"
-                )
-            for j in np.nonzero(x)[0]:
-                codes, spec = gens[j]
+                where = "through warmup" if s < window else f"at sub-round {s}"
+                raise CircuitError(f"observable {k} cannot be kept commuting {where}")
+            for j in gf2.bits(x):
+                t, codes, spec = gens[j]
                 for q, code in codes.items():
                     new = op.get(q, 0) ^ code
                     if new:
                         op[q] = new
                     else:
                         op.pop(q, None)
-                records.symmetric_difference_update(gen_records(spec, s))
+                # one single-sub-round solver serves every s of its s % 6
+                records.symmetric_difference_update(
+                    gen_records(spec, t if s < window else s)
+                )
         bad = [q for q, code in op.items() if code != _CODE["Z"]]
         if bad:
             raise CircuitError(
@@ -722,28 +672,25 @@ class _Constraints:
             for q, marker in row:
                 self.by_qubit.setdefault(q, []).append((i, s, marker))
 
-    def _broken(self, codes: dict[int, int], t: int) -> list[int]:
-        """Rows of sub-round t or later whose entries for codes XOR to 1."""
-        odd: set[int] = set()
+    def _broken(self, codes: dict[int, int], t: int) -> int:
+        """Rows of sub-round t or later whose entries for codes XOR to 1,
+        as an int whose bit i is row i."""
+        odd = 0
         for q, code in codes.items():
             for i, s, marker in self.by_qubit.get(q, ()):
                 if s >= t and _entry(code, marker):
-                    odd ^= {i}
-        return list(odd)
+                    odd ^= 1 << i
+        return odd
 
-    def matrix(self, gens: list[tuple[int, dict[int, int]]]) -> np.ndarray:
-        """Rows × generators; generator j = (t, codes) is multiplied in at
-        sub-round t, so it enters only rows of sub-round t or later."""
-        A = np.zeros((len(self.rows), len(gens)), dtype=np.uint8)
-        for j, (t, codes) in enumerate(gens):
-            A[self._broken(codes, t), j] = 1
-        return A
+    def matrix(self, gens: list[tuple[int, dict[int, int]]]) -> list[int]:
+        """One column int per generator; generator j = (t, codes) is
+        multiplied in at sub-round t, so it enters only rows of sub-round t
+        or later."""
+        return [self._broken(codes, t) for t, codes in gens]
 
-    def vector(self, codes: dict[int, int]) -> np.ndarray:
+    def vector(self, codes: dict[int, int]) -> int:
         """The rows that the operator codes breaks, over all sub-rounds."""
-        b = np.zeros(len(self.rows), dtype=np.uint8)
-        b[self._broken(codes, 0)] = 1
-        return b
+        return self._broken(codes, 0)
 
 
 # ---------------------------------------------------------------------------

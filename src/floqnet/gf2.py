@@ -1,155 +1,124 @@
-"""Dense GF(2) linear algebra on small matrices (numpy uint8)."""
+"""GF(2) linear algebra on Python-int bit rows.
+
+Layout: a vector over n columns is a Python int whose bit c is column c
+(as for the rows in tableau.py), and a matrix is a list of them.  A row
+takes about n/8 bytes, and a row operation is one XOR of two ints.
+
+Every reduction goes through one lowest-bit basis {pivot: (row, combo)}:
+the pivot of a row is its lowest set bit, no two rows share one, and combo
+records which inputs a row combines.  rref returns the reduced row echelon
+form, which is canonical: every generating set of a span gives the same
+rows.
+"""
 
 from __future__ import annotations
 
-import numpy as np
+__all__ = [
+    "bits", "rref", "rank", "nullspace", "intersection", "extend_basis", "ColumnSolver"
+]
 
 
-def gf2_rref(A: np.ndarray):
-    """Row-reduce A over GF(2). Returns (R, pivot_columns)."""
-    R = (np.asarray(A) & 1).astype(np.uint8, copy=True)
-    if R.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    m, n = R.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        rows = np.nonzero(R[r:, c])[0]
-        if rows.size == 0:
-            continue
-        p = r + int(rows[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        ones = np.nonzero(R[:, c])[0]
-        ones = ones[ones != r]
-        if ones.size:
-            R[ones] ^= R[r]
-        pivots.append(c)
-        r += 1
-    return R, pivots
+def bits(v: int):
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
 
 
-def gf2_rank(A: np.ndarray) -> int:
-    _, pivots = gf2_rref(A)
-    return len(pivots)
+def _insert(basis: dict, v: int, combo: int = 0) -> int:
+    """Reduce v by the basis, XORing the combos used into combo, and store
+    what is left under its pivot.  Returns what is left, 0 if v was in the
+    span."""
+    while v:
+        p = (v & -v).bit_length() - 1
+        if p not in basis:
+            basis[p] = (v, combo)
+            return v
+        row, c = basis[p]
+        v ^= row
+        combo ^= c
+    return 0
 
 
-def gf2_nullspace(A: np.ndarray) -> np.ndarray:
-    """Basis for the right nullspace of A, as rows. Shape (dim, n)."""
-    A = (np.asarray(A) & 1).astype(np.uint8)
-    m, n = A.shape
-    R, pivots = gf2_rref(A)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(pivots):
-            if R[r, c]:
-                basis[k, pc] = 1
+def _basis(rows) -> dict:
+    basis: dict = {}
+    for r in rows:
+        _insert(basis, r)
     return basis
 
 
-def gf2_rowspace_basis(A: np.ndarray) -> np.ndarray:
-    R, pivots = gf2_rref(A)
-    return R[: len(pivots)].copy()
+def rref(rows) -> list[int]:
+    """Reduced row echelon form of span(rows): one row per pivot, pivots
+    ascending, each pivot column set in its own row only."""
+    basis = _basis(rows)
+    pivot_mask = sum(1 << p for p in basis)
+    out: dict[int, int] = {}
+    # the other pivots of row p lie above p and are reduced already, and
+    # XORing a reduced row clears its own pivot only
+    for p in sorted(basis, reverse=True):
+        r = basis[p][0]
+        for q in bits((r & pivot_mask) ^ (1 << p)):
+            r ^= out[q]
+        out[p] = r
+    return [out[p] for p in sorted(out)]
 
 
-def gf2_intersection(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Basis (rows) of rowspace(A) ∩ rowspace(B)."""
-    A = gf2_rowspace_basis(A)
-    B = gf2_rowspace_basis(B)
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return np.zeros((0, max(A.shape[1], B.shape[1])), dtype=np.uint8)
-    # x = a^T A = b^T B  <=>  [A^T | B^T] (a; b) = 0 with sign-free XOR.
-    stacked = np.concatenate([A.T, B.T], axis=1)
-    null = gf2_nullspace(stacked)
-    if null.shape[0] == 0:
-        return np.zeros((0, A.shape[1]), dtype=np.uint8)
-    coeffs_a = null[:, : A.shape[0]]
-    vecs = (coeffs_a @ A) & 1
-    return gf2_rowspace_basis(vecs)
+def rank(rows) -> int:
+    return len(_basis(rows))
 
 
-class PackedGF2Solver:
-    """Pre-factorised solver for A x = b over GF(2), reusable across many b.
+def nullspace(rows, n: int) -> list[int]:
+    """Basis of {x : row · x = 0 for every row} over n columns: for each
+    free column c, ascending, the vector set at c and at the pivot of every
+    rref row that has column c."""
+    R = rref(rows)
+    pivots = {(r & -r).bit_length() - 1 for r in R}
+    free = {c: 1 << c for c in range(n) if c not in pivots}
+    for r in R:
+        low = r & -r
+        for c in bits(r ^ low):
+            free[c] |= low
+    return list(free.values())
 
-    Rows are bit-packed into uint64 words; the factorisation records the row
-    transform T with R = T A in reduced row-echelon form.
+
+def intersection(A, B, n: int) -> list[int]:
+    """rref of span(A) ∩ span(B) over n columns (Zassenhaus).  The rows
+    a | a << n and b span {(a ^ b) | a << n}; the rows of its rref with no
+    bit below n are x << n for the rows x of the intersection's rref."""
+    R = rref([a | a << n for a in A] + list(B))
+    return [r >> n for r in R if not r & ((1 << n) - 1)]
+
+
+def extend_basis(T, K) -> list[int]:
+    """Rows of K that extend span(T) to span(T) + span(K), greedily: row k
+    is kept when it lies outside the span of T and the rows of K before it."""
+    basis = _basis(T)
+    return [k for k in K if _insert(basis, k)]
+
+
+class ColumnSolver:
+    """Solves A x = b over GF(2) for many b, where A is given as one int
+    per column (bit i is row i).
+
+    The columns go into one lowest-bit basis in order, each with the set of
+    columns it combines, so only the greedy independent columns enter, and
+    solve returns the unique solution that is zero on every other column.
     """
 
-    def __init__(self, A: np.ndarray):
-        A = (np.asarray(A) & 1).astype(np.uint8)
-        self.m, self.n = A.shape
-        words = (self.n + 63) // 64
-        R = np.zeros((self.m, words), dtype=np.uint64)
-        for c in range(self.n):
-            w, b = divmod(c, 64)
-            R[:, w] |= A[:, c].astype(np.uint64) << np.uint64(b)
-        twords = (self.m + 63) // 64
-        T = np.zeros((self.m, twords), dtype=np.uint64)
-        for r in range(self.m):
-            w, b = divmod(r, 64)
-            T[r, w] |= np.uint64(1) << np.uint64(b)
-        pivots = []
-        r = 0
-        for c in range(self.n):
-            if r >= self.m:
-                break
-            w, b = divmod(c, 64)
-            col = (R[r:, w] >> np.uint64(b)) & np.uint64(1)
-            hits = np.nonzero(col)[0]
-            if hits.size == 0:
-                continue
-            p = r + int(hits[0])
-            if p != r:
-                R[[r, p]] = R[[p, r]]
-                T[[r, p]] = T[[p, r]]
-            col_all = ((R[:, w] >> np.uint64(b)) & np.uint64(1)).astype(bool)
-            col_all[r] = False
-            idx = np.nonzero(col_all)[0]
-            if idx.size:
-                R[idx] ^= R[r]
-                T[idx] ^= T[r]
-            pivots.append(c)
-            r += 1
-        self.rank = r
-        self.pivots = pivots
-        self.R = R
-        self.T = T
-        self.twords = twords
+    def __init__(self, columns):
+        self._basis: dict = {}
+        for j, col in enumerate(columns):
+            _insert(self._basis, col, 1 << j)
 
-    def _apply_T(self, b: np.ndarray) -> np.ndarray:
-        b = (np.asarray(b).reshape(-1) & 1).astype(np.uint8)
-        bw = np.zeros(self.twords, dtype=np.uint64)
-        for i in np.nonzero(b)[0]:
-            w, bit = divmod(int(i), 64)
-            bw[w] ^= np.uint64(1) << np.uint64(bit)
-        tb = np.bitwise_count(self.T & bw).sum(axis=1) & 1
-        return tb.astype(np.uint8)
-
-    def solve(self, b: np.ndarray):
-        """One solution x (free variables zero), or None if infeasible."""
-        tb = self._apply_T(b)
-        if tb[self.rank :].any():
-            return None
-        x = np.zeros(self.n, dtype=np.uint8)
-        for r, c in enumerate(self.pivots):
-            x[c] = tb[r]
+    def solve(self, b: int) -> int | None:
+        """The set of columns summing to b, as an int, or None when b is
+        outside the column span."""
+        x = 0
+        while b:
+            hit = self._basis.get((b & -b).bit_length() - 1)
+            if hit is None:
+                return None
+            b ^= hit[0]
+            x ^= hit[1]
         return x
-
-
-def gf2_extend_basis(T: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Rows of K that extend span(T) to span(T)+span(K), greedily in order.
-
-    Row k of K is kept exactly when it is outside the span of T and of the
-    rows of K before it, that is when its column of [T^T | K^T] is a pivot
-    column, so one reduction finds them all.
-    """
-    K = (np.asarray(K) & 1).astype(np.uint8)
-    T = (np.asarray(T) & 1).astype(np.uint8).reshape(-1, K.shape[1])
-    _, pivots = gf2_rref(np.concatenate([T.T, K.T], axis=1))
-    keep = [c - T.shape[0] for c in pivots if c >= T.shape[0]]
-    return K[keep]

@@ -26,8 +26,9 @@ class MatchingInfeasibleError(RuntimeError):
     pass
 
 
-def max_weight_matching(n: int, edges, maxcardinality: bool = True):
-    """Maximum-weight matching; returns mate array (mate[v] = partner or -1).
+def max_weight_matching(n: int, edges):
+    """Maximum-weight matching among those of maximum cardinality; returns
+    the mate array (mate[v] = partner or -1).
 
     ``edges`` is a sequence of (u, v, weight) with integer weights.
     """
@@ -337,9 +338,6 @@ def max_weight_matching(n: int, edges, maxcardinality: bool = True):
             # compute the dual adjustment
             deltatype = -1
             delta = deltaedge = deltablossom = None
-            if not maxcardinality:
-                deltatype = 1
-                delta = min(dualvar[:n])
             for v in range(n):
                 if label[inblossom[v]] == 0 and bestedge[v] != -1:
                     d = slack(bestedge[v])
@@ -366,7 +364,7 @@ def max_weight_matching(n: int, edges, maxcardinality: bool = True):
                     deltatype = 4
                     deltablossom = b
             if deltatype == -1:
-                # no further progress possible (maxcardinality)
+                # no further progress possible
                 deltatype = 1
                 delta = max(0, min(dualvar[:n]))
             for v in range(n):
@@ -425,7 +423,7 @@ def min_weight_perfect_matching(n: int, edges):
     wmax = max([1] + [abs(int(w)) for (_, _, w) in edges])
     big = 2 * n * wmax + 1
     flipped = [(i, j, big - int(w)) for (i, j, w) in edges]
-    mate = max_weight_matching(n, flipped, maxcardinality=True)
+    mate = max_weight_matching(n, flipped)
     if any(m == -1 for m in mate):
         raise MatchingInfeasibleError("graph admits no perfect matching")
     return mate

@@ -43,6 +43,7 @@ from __future__ import annotations
 import collections
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -281,10 +282,16 @@ def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
     """Sample detector and observable frame bits under the annotated noise.
 
     Deterministic for fixed (circuit, seed, shots); all-zero output for a
-    noiseless circuit.  Raises CircuitError when a detector or observable
-    references a missing record, an observable index is out of range or an
-    instruction targets a qubit the circuit does not have.
+    noiseless circuit.  Raises ValueError unless shots is an integer >= 1
+    and seed an integer (numpy integers are accepted, bools are not), and
+    CircuitError when a detector or observable references a missing record,
+    an observable index is out of range or an instruction targets a qubit
+    the circuit does not have.
     """
+    for name, value in (("shots", shots), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+    shots, seed = int(shots), int(seed)
     if shots < 1:
         raise ValueError("shots must be positive")
     ops, slices = _compiled(circuit)
@@ -756,11 +763,23 @@ def save_shot_batch(batch: ShotBatch, path: str | Path) -> None:
 def load_shot_batch(path: str | Path) -> ShotBatch:
     """Read a batch written by save_shot_batch.
 
-    Raises ValueError when the payload length disagrees with the header.
+    Raises ValueError, naming the file, when the header is not an object
+    with a seed and non-negative integer counts, or when the payload length
+    disagrees with the header.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         raw = fh.read()
+    counts = ("shots", "n_detectors", "n_observables")
+    if not (
+        isinstance(header, dict)
+        and "seed" in header
+        and all(type(header.get(k)) is int and header[k] >= 0 for k in counts)
+    ):
+        raise ValueError(
+            f"{path}: header is not a JSON object with a seed and "
+            f"non-negative integers {', '.join(counts)}"
+        )
     n_bits = header["n_detectors"] + header["n_observables"]
     row_bytes = (n_bits + 7) // 8
     expected = header["shots"] * row_bytes

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from floqnet.gf2 import bits
+
 __all__ = ["PauliWords", "Outcome", "SymbolicTableau", "pack_pauli"]
 
 
@@ -54,14 +56,6 @@ def pack_pauli(n_qubits: int, terms: dict[int, str]) -> PauliWords:
         if p in ("Z", "Y"):
             z |= bit
     return PauliWords(x, z)
-
-
-def _bits(v: int):
-    """Indices of the set bits of v, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
 
 
 def _log_i(x1: int, z1: int, x2: int, z2: int) -> int:
@@ -95,31 +89,31 @@ class SymbolicTableau:
     def _anticommuting(self, pauli: PauliWords) -> int:
         """Bitset of the rows that anticommute with pauli."""
         rows = 0
-        for q in _bits(pauli.x):
+        for q in bits(pauli.x):
             rows ^= self.cols_z[q]
-        for q in _bits(pauli.z):
+        for q in bits(pauli.z):
             rows ^= self.cols_x[q]
         return rows
 
     def _rowsum(self, targets: int, p: int) -> None:
         """row_t <- row_p · row_t for each row t in the bitset targets."""
         xp, zp, ep, mp = self.x[p], self.z[p], self.phase[p], self.masks[p]
-        for t in _bits(targets):
+        for t in bits(targets):
             xt, zt = self.x[t], self.z[t]
             self.phase[t] = (self.phase[t] + ep + _log_i(xp, zp, xt, zt)) & 3
             self.x[t] = xt ^ xp
             self.z[t] = zt ^ zp
             self.masks[t] ^= mp
-        for q in _bits(xp):
+        for q in bits(xp):
             self.cols_x[q] ^= targets
-        for q in _bits(zp):
+        for q in bits(zp):
             self.cols_z[q] ^= targets
 
     def _set_row(self, r: int, x: int, z: int, phase: int, mask: int) -> None:
         bit = 1 << r
-        for q in _bits(self.x[r] ^ x):
+        for q in bits(self.x[r] ^ x):
             self.cols_x[q] ^= bit
-        for q in _bits(self.z[r] ^ z):
+        for q in bits(self.z[r] ^ z):
             self.cols_z[q] ^= bit
         self.x[r], self.z[r], self.phase[r], self.masks[r] = x, z, phase, mask
 
@@ -143,7 +137,7 @@ class SymbolicTableau:
         destabilizers in the bitset anti."""
         n = self.n
         sx = sz = e = mask = 0
-        for i in _bits(anti):
+        for i in bits(anti):
             p = i + n
             xp, zp = self.x[p], self.z[p]
             e = (e + self.phase[p] + _log_i(xp, zp, sx, sz)) & 3
@@ -173,7 +167,7 @@ class SymbolicTableau:
         """Conjugate by a Pauli applied iff the symbolic value is 1."""
         if symbol.bit == 0 and symbol.mask == 0:
             return
-        for r in _bits(self._anticommuting(pauli)):
+        for r in bits(self._anticommuting(pauli)):
             if symbol.bit:
                 self.phase[r] = (self.phase[r] + 2) & 3
             self.masks[r] ^= symbol.mask

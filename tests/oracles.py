@@ -7,7 +7,6 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from floqnet import gf2
 from floqnet.circuit import (
     BellPrep,
     CircuitError,
@@ -91,36 +90,43 @@ class StatevectorSim:
             self.apply_pauli({a: "Z"})
 
 
-def reference_constraint_matrix(gens, rows) -> np.ndarray:
-    """Every generator against every constraint row: A[i, j] is the XOR of
-    the entries of generator j = (t, codes) on the half-constraints of row
-    i = (s, ((qubit, marker), ...)), and 0 where t > s."""
-    A = np.zeros((len(rows), len(gens)), dtype=np.uint8)
-    for j, (t, codes) in enumerate(gens):
+def reference_constraint_matrix(gens, rows) -> list[int]:
+    """Every generator against every constraint row, as one column int per
+    generator: bit i of column j is the XOR of the entries of generator
+    j = (t, codes) on the half-constraints of row i = (s, ((qubit, marker),
+    ...)), and 0 where t > s."""
+    cols = []
+    for t, codes in gens:
+        col = 0
         for i, (s, row) in enumerate(rows):
             if t > s:
                 continue
             val = 0
             for q, marker in row:
                 val ^= _entry(codes.get(q, 0), marker)
-            A[i, j] = val
-    return A
+            col |= val << i
+        cols.append(col)
+    return cols
 
 
-def reference_extend_basis(T: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Rows of K that raise the rank of T and the rows kept before them,
+def reference_span(rows) -> set[int]:
+    """Every XOR of a subset of the int rows, listed by brute force."""
+    span = {0}
+    for r in rows:
+        span |= {s ^ r for s in span}
+    return span
+
+
+def reference_extend_basis(T, K) -> list[int]:
+    """Rows of K outside the span of T and of the rows kept before them,
     tried one at a time in order."""
-    cur = np.asarray(T, dtype=np.uint8).reshape(-1, K.shape[1])
-    rank = gf2.gf2_rank(cur)
+    span = reference_span(T)
     out = []
     for row in K:
-        trial = np.vstack([cur, row[None, :]])
-        r = gf2.gf2_rank(trial)
-        if r > rank:
+        if row not in span:
             out.append(row)
-            cur = trial
-            rank = r
-    return np.array(out, dtype=np.uint8).reshape(-1, K.shape[1])
+            span |= {s ^ row for s in span}
+    return out
 
 
 def _qubit_timelines(circuit: CircuitProgram):

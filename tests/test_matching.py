@@ -139,12 +139,12 @@ def test_max_weight_matches_networkx_on_sparse(n_half, seed, density):
                 edges.append((i, j, int(rng.integers(1, 40))))
     if not edges:
         return
-    mate = max_weight_matching(n, edges, maxcardinality=False)
+    mate = max_weight_matching(n, edges)
     got = sum(w for (i, j, w) in edges if 0 <= mate[i] == j and i < j)
     g = nx.Graph()
     for i, j, w in edges:
         g.add_edge(i, j, weight=w)
-    ref = nx.max_weight_matching(g, maxcardinality=False)
+    ref = nx.max_weight_matching(g, maxcardinality=True)
     wmap = {(min(i, j), max(i, j)): w for i, j, w in edges}
     ref_w = sum(wmap[(min(i, j), max(i, j))] for i, j in ref)
     assert got == ref_w

@@ -155,9 +155,6 @@ def test_fiedler_vector_spans_degenerate_eigenspace():
     assert not np.allclose(np.abs(f), np.abs(_fiedler_vector(adj, seed=1)))
 
 
-# Clusters with a degenerate or nearly degenerate lambda_2 arise throughout
-# this grid (12x12 at 16-48, 15x15 at 16-20, 18x18 at 16-30), where inverse
-# iteration converges too slowly to finish
 @pytest.mark.parametrize("L", [6, 9, 12, 15, 18])
 def test_partition_grid(L):
     lat = generate_honeycomb_torus(L, L)

@@ -154,6 +154,23 @@ def test_rejects_nonpositive_shots(local3, shots):
 
 
 @pytest.mark.parametrize(
+    "seed, shots",
+    [(0, 1.5), (0, True), (0, "3"), (0, np.float64(2.0)), (1.5, 10), (None, 10), (True, 10)],
+)
+def test_rejects_non_integer_shots_or_seed(local3, seed, shots):
+    with pytest.raises(ValueError, match="must be an integer"):
+        sample_shots(local3, seed, shots)
+
+
+def test_accepts_numpy_integers(local3):
+    want = sample_shots(local3, 7, 100)
+    for seed, shots in [(np.int64(7), 100), (7, np.int32(100)), (np.uint64(7), np.int64(100))]:
+        got = sample_shots(local3, seed, shots)
+        _assert_same(got, want)
+        assert type(got.seed) is int and type(got.shots) is int
+
+
+@pytest.mark.parametrize(
     "change",
     [
         {"detectors": (Detector((0,)), Detector((8,)))},
@@ -202,4 +219,21 @@ def test_damaged_shot_file_names_file_and_size(tmp_path):
     save_shot_batch(batch, path)
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ValueError, match=r"batch\.bin.*600 payload bytes"):
+        load_shot_batch(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"[1, 2]",
+        b"5",
+        b'{"shots": 1, "seed": 0, "n_observables": 0}',
+        b'{"shots": 1, "seed": 0, "n_detectors": "8", "n_observables": 0}',
+    ],
+    ids=["list", "number", "no-n_detectors", "string-count"],
+)
+def test_bad_shot_file_header_names_file(tmp_path, header):
+    path = tmp_path / "batch.bin"
+    path.write_bytes(header + b"\n" + bytes(1))
+    with pytest.raises(ValueError, match=r"batch\.bin.*header"):
         load_shot_batch(path)
