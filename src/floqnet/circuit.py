@@ -67,6 +67,8 @@ class NoiseParams:
     def __post_init__(self):
         for name in ("p_local", "p_nonlocal"):
             p = getattr(self, name)
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise CircuitError(f"{name} must be a real number, not {p!r}")
             if not (0.0 <= p <= 1.0):
                 raise CircuitError(f"{name}={p} is not a probability")
         _check_count("bell_wait_cycles", self.bell_wait_cycles, 0)

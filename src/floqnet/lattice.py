@@ -14,6 +14,7 @@ multiplying the qubit count by f² while preserving the genus.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -84,10 +85,6 @@ class Lattice:
     n_vertices: int
     edges: tuple[Edge, ...]
     faces: tuple[Face, ...]
-
-    @property
-    def n(self) -> int:
-        return self.n_vertices
 
     @property
     def n_edges(self) -> int:
@@ -596,8 +593,9 @@ def generate_honeycomb_torus(Lx: int, Ly: int) -> Lattice:
     hexagon (x, y) the colour (x - y) mod 3, which is only consistent around
     the torus when 3 | Lx and 3 | Ly.  Other sizes are rejected.
     """
-    if Lx < 1 or Ly < 1:
-        raise LatticeError("periods must be positive")
+    for size in (Lx, Ly):
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+            raise LatticeError(f"periods must be integers >= 1, not {size!r}")
     if Lx % 3 != 0 or Ly % 3 != 0:
         raise LatticeError(
             f"honeycomb torus ({Lx},{Ly}) admits no consistent face 3-colouring "
@@ -637,8 +635,8 @@ def fine_grain(lat: Lattice, f: int) -> Lattice:
     large-face count and hexagons for every added face.  Level 1 returns the
     lattice unchanged.
     """
-    if f < 1:
-        raise LatticeError("fine-graining level must be >= 1")
+    if isinstance(f, bool) or not isinstance(f, numbers.Integral) or f < 1:
+        raise LatticeError(f"fine-graining level must be an integer >= 1, not {f!r}")
     if f == 1:
         return lat
     validate_lattice(lat, require_colors=True)

@@ -96,8 +96,9 @@ def _fiedler_vector(adj: sp.csr_matrix, seed: int = 0) -> np.ndarray:
 def _spectral_bisect(adj: sp.csr_matrix, seed: int = 0) -> tuple[list[int], list[int]]:
     """Split vertices at the Fiedler median into parts differing by <= 1.
 
-    Vertices tied at the median go to the smaller (first) part in ascending
-    id order.
+    The first part holds the n // 2 smallest computed Fiedler entries; only
+    bitwise-equal entries keep ascending id order.  Ties in exact arithmetic
+    are decided by rounding noise from ``eigh``, not by vertex ids.
     """
     n = adj.shape[0]
     if n == 2:

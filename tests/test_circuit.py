@@ -48,6 +48,11 @@ def test_noise_params_validation():
         NoiseParams(-0.1, 0.0)
     with pytest.raises(CircuitError):
         NoiseParams(0.0, 1.5)
+    for p in ("0.1", None, True, float("nan")):
+        with pytest.raises(CircuitError):
+            NoiseParams(p, 0.0)
+        with pytest.raises(CircuitError):
+            NoiseParams(0.0, p)
     for cycles in (-1, 2.5, True):
         with pytest.raises(CircuitError):
             NoiseParams(0.0, 0.0, bell_wait_cycles=cycles)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,7 +95,7 @@ def test_decode_syndrome_reports_pairs_and_boundary():
 
 
 @st.composite
-def _graphs_and_syndromes(draw):
+def _graphs(draw):
     n_det = draw(st.integers(min_value=1, max_value=6))
     mechs = []
     for _ in range(draw(st.integers(min_value=1, max_value=9))):
@@ -102,14 +104,55 @@ def _graphs_and_syndromes(draw):
         w = draw(st.integers(min_value=1, max_value=5))
         obs = draw(st.integers(min_value=0, max_value=3))
         mechs.append((a, b, w, obs))
+    return _graph(n_det, mechs)
+
+
+@st.composite
+def _graphs_and_syndromes(draw):
+    graph = draw(_graphs())
+    n_det = graph.n_detectors
     syndrome = draw(st.lists(st.booleans(), min_size=n_det, max_size=n_det))
-    return _graph(n_det, mechs), np.array(syndrome, dtype=np.uint8)
+    return graph, np.array(syndrome, dtype=np.uint8)
 
 
 @given(_graphs_and_syndromes())
 @settings(max_examples=300, deadline=None)
 def test_decode_syndrome_exact_against_brute_force(case):
     _assert_exact(*case)
+
+
+@given(_graphs())
+@settings(max_examples=300, deadline=None)
+def test_context_tables_are_min_weight_two_defect_corrections(graph):
+    """dist and mask against brute force for every pair of nodes.
+
+    The boundary is node n_det of the tables; brute force treats it as one
+    more detector, so a correction between two nodes may pass through it.
+    Both orientations of the mask, each from its own shortest-path tree,
+    must be minimum-weight masks.
+    """
+    ctx = DecoderContext(graph)
+    n = graph.n_detectors
+    syndromes = [
+        (1 << int(a)) | (1 << (int(b) if b >= 0 else n))
+        for a, b in zip(graph.det1, graph.det2)
+    ]
+    tol = graph.n_edges * graph.weights.max() / 2**20
+    for r, v in itertools.combinations(range(n + 1), 2):
+        want, masks = brute_force_min_weight(
+            graph.weights.tolist(),
+            syndromes,
+            [int(o) for o in graph.obs_mask],
+            (1 << r) | (1 << v),
+            graph.n_edges,
+        )
+        if want is None:
+            assert np.isinf(ctx.dist[r, v]) and np.isinf(ctx.dist[v, r])
+            continue
+        assert ctx.dist[r, v] == ctx.dist[v, r]
+        assert ctx.dist[r, v] / ctx.scale == pytest.approx(want, abs=tol)
+        assert int(ctx.mask[r, v]) in masks
+        assert int(ctx.mask[v, r]) in masks
 
 
 def test_decode_batch_matches_per_shot_decoding():
@@ -141,11 +184,13 @@ def _empty_graph(n_det):
     "graph, syndrome",
     [
         (_graph(3, _CHAIN), [1, 0, 0, 0]),
+        (_graph(3, _CHAIN), 1),
+        (_graph(3, _CHAIN), np.eye(3)),
         (_empty_graph(3), [0, 1, 0]),
         # odd defect count in the component {0, 1}, which has no boundary edge
         (_graph(3, [(0, 1, 1, 1), (2, -1, 1, 0)]), [1, 0, 1]),
     ],
-    ids=["wrong-length", "empty-graph", "odd-component"],
+    ids=["wrong-length", "0-d", "2-d", "empty-graph", "odd-component"],
 )
 def test_decode_syndrome_rejects_bad_input(graph, syndrome):
     with pytest.raises(DecodeError):

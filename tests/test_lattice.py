@@ -89,6 +89,20 @@ def test_honeycomb_rejects_nonmultiple_periods():
         generate_honeycomb_torus(3, 5)
 
 
+@pytest.mark.parametrize("size", [0, -3, 3.0, 2.5, True, "3", None])
+def test_honeycomb_rejects_non_positive_integer_periods(size):
+    with pytest.raises(LatticeError):
+        generate_honeycomb_torus(size, 3)
+    with pytest.raises(LatticeError):
+        generate_honeycomb_torus(3, size)
+
+
+@pytest.mark.parametrize("f", [0, -1, 2.0, 2.5, True, "2"])
+def test_fine_grain_rejects_non_positive_integer_levels(f):
+    with pytest.raises(LatticeError):
+        fine_grain(generate_honeycomb_torus(3, 3), f)
+
+
 def test_theta_graph_faces_sphere():
     # 2 vertices joined by 3 parallel edges; rotation (0,1,2) at u and
     # (2,1,0) at v traces 3 digon faces: V-E+F = 2-3+3 = 2, a sphere.
