@@ -7,8 +7,9 @@ two-qubit Pauli-product measurements; non-local checks route through a noisy
 Bell pair and two local pair measurements whose XOR is the check value.
 
 Detector and observable record sets are constructed rule-based and then
-certified by a symbolic stabilizer simulation: a parity is only emitted as a
-detector when its dependence on every measurement-randomness bit cancels.
+certified by the Pauli-frame kernel of floqnet.sim, run over stabiliser
+gauges: a parity is only emitted as a detector when no gauge flips it, that
+is, when it does not depend on any random measurement outcome.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from typing import Optional
 import numpy as np
 
 from floqnet import gf2
-from floqnet.lattice import Lattice, PAULI_OF_COLOR, validate_lattice
+from floqnet.lattice import Lattice, PAULI_OF_COLOR, _require_int, validate_lattice
 from floqnet.partition import Partition, validate_partition
-from floqnet.tableau import SymbolicTableau, pack_pauli
 
 __all__ = [
     "NoiseParams",
@@ -49,8 +49,7 @@ class CircuitError(ValueError):
 
 def _check_count(name: str, value, least: int) -> None:
     """Raise CircuitError unless value is an integer (not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise CircuitError(f"{name} must be an integer, not {value!r}")
+    _require_int(value, CircuitError, f"{name} must be an integer, not {value!r}")
     if value < least:
         raise CircuitError(f"{name} must be >= {least}")
 
@@ -58,7 +57,15 @@ def _check_count(name: str, value, least: int) -> None:
 @dataclass(frozen=True)
 class NoiseParams:
     """Two-tier circuit noise: local error rate, Bell-pair error rate, and
-    the system-wide stall (in gate cycles) while Bell states are heralded."""
+    the system-wide stall (in gate cycles) while Bell states are heralded.
+
+    Each rate p is the total probability of a fault: of a non-identity
+    term of a depolarising channel, uniform over its 3 or 15 terms, or of a
+    flipped outcome.  Read as a process fidelity, F = 1 - p, so (3e-4,
+    1e-2) are the paper's local and non-local fidelities of 99.97 % and
+    99 %.  A Bell pair under Depolarize2(p) keeps a state fidelity of
+    1 - 4p/5, since 3 of the 15 two-qubit terms (XX, YY, ZZ) fix it.
+    """
 
     p_local: float
     p_nonlocal: float
@@ -145,10 +152,10 @@ class CircuitProgram:
     observables: tuple[Observable, ...]
     n_records: int
     metadata: dict = field(default_factory=dict, compare=False, repr=False)
-    # what is derived from the program once and read many times (the record
-    # masks of the symbolic run, the sampler's compiled index arrays), by
-    # name, with the objects each was derived from; not an init field, so
-    # that dataclasses.replace never carries it into a copy with other contents
+    # what is derived from the program once and read many times (the
+    # kernel's compiled ops and parity slices), by name, with the objects
+    # each was derived from; not an init field, so that dataclasses.replace
+    # never carries it into a copy with other contents
     kernel_cache: Optional[dict] = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -265,6 +272,8 @@ def build_memory_circuit(
     n_detector_rounds: int,
 ) -> CircuitProgram:
     """Compile a Z-basis memory experiment over 6·n_detector_rounds sub-rounds."""
+    from floqnet.sim import _random_parities  # sim imports this module
+
     _check_count("n_detector_rounds", n_detector_rounds, 1)
     validate_lattice(lattice)
     if partition is None:
@@ -402,8 +411,6 @@ def build_memory_circuit(
         },
     )
 
-    masks = _record_masks(program)
-
     def minus_edges(fi: int) -> list[int]:
         c = lattice.faces[fi].color
         return face_edges_by_color[fi][(c - 1) % 3]
@@ -434,7 +441,7 @@ def build_memory_circuit(
                 recs.extend(check_records[s - 4][e])
         return recs
 
-    detectors: list[Detector] = []
+    candidates: list[tuple[int, int, list[int]]] = []  # (face, anchor, records)
     for fi, f in enumerate(lattice.faces):
         c = f.color
         anchor0 = (c - 1) % 3
@@ -444,13 +451,7 @@ def build_memory_circuit(
                 continue
             if len(set(recs)) != len(recs):
                 raise CircuitError("duplicate record in a detector")
-            if not _parity_mask(masks, recs):
-                detectors.append(Detector(tuple(sorted(recs)), face=fi, anchor=s))
-            elif s - 4 >= 0:
-                raise CircuitError(
-                    f"bulk detector of face {fi} at sub-round {s} is not "
-                    "deterministic; compilation bug"
-                )
+            candidates.append((fi, s, recs))
         if c == 2:
             # closing: compare the last complete inference against the
             # stabilizer value reconstructed from the transversal readout;
@@ -462,18 +463,29 @@ def build_memory_circuit(
                 recs.extend(edge_records[s_last][e])
             for e in plus_edges(fi):
                 recs.extend(check_records[s_last - 1][e])
-            if _parity_mask(masks, recs):
-                raise CircuitError(
-                    f"closing detector of face {fi} is not deterministic"
-                )
-            detectors.append(Detector(tuple(sorted(recs)), face=fi, anchor=n_sub))
+            candidates.append((fi, n_sub, recs))
+
+    random = _random_parities(
+        program,
+        [recs for _, _, recs in candidates] + [obs.records for obs in observables],
+    )
+    detectors: list[Detector] = []
+    for (fi, s, recs), bad in zip(candidates, random.tolist()):
+        if not bad:
+            detectors.append(Detector(tuple(sorted(recs)), face=fi, anchor=s))
+        elif s == n_sub:
+            raise CircuitError(f"closing detector of face {fi} is not deterministic")
+        elif s - 4 >= 0:
+            raise CircuitError(
+                f"bulk detector of face {fi} at sub-round {s} is not "
+                "deterministic; compilation bug"
+            )
+    for obs, bad in zip(observables, random[len(candidates) :].tolist()):
+        if bad:
+            raise CircuitError(f"observable {obs.index} is not deterministic")
 
     detectors.sort(key=lambda d: (d.anchor, d.face))
     program.detectors = tuple(detectors)
-
-    for obs in program.observables:
-        if _parity_mask(masks, obs.records):
-            raise CircuitError(f"observable {obs.index} is not deterministic")
 
     if not program.measurement_index_ok():
         raise CircuitError("detector or observable references a missing record")
@@ -696,66 +708,7 @@ class _Constraints:
 
 
 # ---------------------------------------------------------------------------
-# symbolic run + determinism report
-
-
-def _simulate(program: CircuitProgram) -> list[int]:
-    """Run the noiseless circuit symbolically.
-
-    Returns one mask over the symbolic random bits per record: a parity of
-    records is deterministic exactly when the XOR of their masks is zero.
-    A record whose outcome is the fresh random bit k keeps ~k in place of
-    the mask 1 << k, which would take k / 8 bytes; _parity_mask reads both.
-    """
-    n = program.n_qubits
-    tab = SymbolicTableau(n)
-    masks: list[int] = []
-
-    def check(qubits) -> None:
-        if any(not 0 <= q < n for q in qubits):
-            raise CircuitError(f"an instruction targets a qubit outside [0, {n})")
-
-    for instr in program.instructions:
-        if isinstance(instr, Reset):
-            check(instr.targets)
-            for q in instr.targets:
-                tab.reset_z(q)
-        elif isinstance(instr, BellPrep):
-            for a, b in instr.pairs:
-                check((a, b))
-                tab.bell_prep(a, b)
-        elif isinstance(instr, MeasurePP):
-            for prod in instr.products:
-                check(q for q, _ in prod)
-                k = tab.n_random_bits
-                out = tab.measure(pack_pauli(n, dict(prod)))
-                masks.append(~k if tab.n_random_bits > k else out.mask)
-        elif isinstance(instr, (Depolarize1, Depolarize2)):
-            continue
-        else:
-            raise CircuitError(f"unknown instruction {instr!r}")
-    return masks
-
-
-def _record_masks(program: CircuitProgram) -> list[int]:
-    """_simulate's masks, kept on the program and simulated again once its
-    instruction tuple is another object or its qubit count changes."""
-    masks = program.cached(
-        "masks", (program.instructions, program.n_qubits), lambda: _simulate(program)
-    )
-    if len(masks) != program.n_records:
-        raise CircuitError("record count mismatch while simulating")
-    return masks
-
-
-def _parity_mask(masks: list[int], records) -> int:
-    """XOR of the records' masks, each kept as _simulate keeps it; zero
-    exactly when their parity is deterministic."""
-    out = 0
-    for r in records:
-        m = masks[r]
-        out ^= m if m >= 0 else 1 << ~m
-    return out
+# determinism report
 
 
 @dataclass(frozen=True)
@@ -779,19 +732,30 @@ def validate_determinism(program: CircuitProgram) -> DeterminismReport:
     """Flag any detector whose parity is not deterministic and any observable
     whose value is not deterministic in the noiseless circuit.
 
-    Reads the record masks that build_memory_circuit kept on the program;
-    the circuit is simulated again only where they are missing or its
-    instructions or qubit count have changed since.
+    Runs the kernel's Pauli frames over stabiliser gauges (see
+    floqnet.sim._random_parities), in which a record listed twice cancels.
+    Raises CircuitError where the instructions do not compile: an unknown
+    instruction, a qubit out of range or a record count that differs from
+    n_records.
     """
-    bad_d: list[tuple[int, str]] = []
-    bad_o: list[tuple[int, str]] = []
+    from floqnet.sim import _random_parities  # sim imports this module
+
     if not program.measurement_index_ok():
         return DeterminismReport(False, ((-1, "record index out of range"),), ())
-    masks = _record_masks(program)
-    for i, det in enumerate(program.detectors):
-        if _parity_mask(masks, det.records):
-            bad_d.append((i, "parity depends on measurement randomness"))
-    for obs in program.observables:
-        if _parity_mask(masks, obs.records):
-            bad_o.append((obs.index, "value depends on measurement randomness"))
-    return DeterminismReport(not bad_d and not bad_o, tuple(bad_d), tuple(bad_o))
+    random = _random_parities(
+        program,
+        [det.records for det in program.detectors]
+        + [obs.records for obs in program.observables],
+    ).tolist()
+    n_det = program.n_detectors
+    bad_d = tuple(
+        (i, "parity depends on measurement randomness")
+        for i, bad in enumerate(random[:n_det])
+        if bad
+    )
+    bad_o = tuple(
+        (obs.index, "value depends on measurement randomness")
+        for obs, bad in zip(program.observables, random[n_det:])
+        if bad
+    )
+    return DeterminismReport(not bad_d and not bad_o, bad_d, bad_o)

@@ -216,56 +216,45 @@ def shortest_graphlike_error(graph: DecodingGraph) -> int:
 
     Computed per observable on the parity-doubled mechanism graph (virtual
     boundary included): the answer is the shortest cycle whose accumulated
-    observable parity is odd, minimised over observables.
+    observable parity is odd, minimised over observables.  One unweighted
+    Dijkstra run per observable, from every endpoint of an odd edge, finds
+    the shortest path from each to its copy in the other layer.
     """
     if graph.n_observables < 1:
         raise DecodeError("graph has no observable")
     if graph.n_edges == 0:
         raise DecodeError("empty decoding graph")
-    boundary = graph.n_detectors
     n_nodes = graph.n_detectors + 1
-
-    undetectable = (graph.det1 < 0) & (graph.obs_mask.astype(np.int64) != 0)
-    if undetectable.any():
+    if ((graph.det1 < 0) & (graph.obs_mask != 0)).any():
         raise DecodeError("mechanism flips an observable but no detector")
 
+    keep = graph.det1 >= 0
+    a = graph.det1[keep].astype(np.int64)
+    b = np.where(graph.det2 < 0, graph.n_detectors, graph.det2)[keep].astype(np.int64)
+    masks = graph.obs_mask[keep]
+    rows = np.concatenate([a, a + n_nodes])
     best = None
     for k in range(graph.n_observables):
-        rows, cols = [], []
-        odd_endpoints = set()
-        for idx in range(graph.n_edges):
-            a = int(graph.det1[idx])
-            if a < 0:
-                continue
-            b = int(graph.det2[idx])
-            if b < 0:
-                b = boundary
-            parity = (int(graph.obs_mask[idx]) >> k) & 1
-            if parity:
-                rows += [a, a + n_nodes]
-                cols += [b + n_nodes, b]
-                odd_endpoints.add(a)
-            else:
-                rows += [a, a + n_nodes]
-                cols += [b, b + n_nodes]
-        if not odd_endpoints:
+        odd = (masks >> np.uint64(k)) & np.uint64(1) == 1
+        if not odd.any():
             continue
-        vals = np.ones(len(rows), dtype=np.int8)
+        # node v of layer 0 is v, of layer 1 v + n_nodes; odd edges cross
+        cross = n_nodes * odd
+        cols = np.concatenate([b + cross, b + n_nodes - cross])
         doubled = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(2 * n_nodes, 2 * n_nodes)
+            (np.ones(rows.size), (rows, cols)), shape=(2 * n_nodes, 2 * n_nodes)
         )
-        doubled = doubled + doubled.T
-        for u in sorted(odd_endpoints):
-            dist = csgraph.dijkstra(
-                doubled,
-                directed=False,
-                indices=u,
-                unweighted=True,
-                limit=(best - 1) if best is not None else np.inf,
-            )
-            d = dist[u + n_nodes]
-            if np.isfinite(d) and (best is None or d < best):
-                best = int(d)
+        sources = np.unique(a[odd])
+        dist = csgraph.dijkstra(
+            doubled,
+            directed=False,
+            indices=sources,
+            unweighted=True,
+            limit=(best - 1) if best is not None else np.inf,
+        )
+        d = dist[np.arange(sources.size), sources + n_nodes].min()
+        if np.isfinite(d):
+            best = int(d)
     if best is None:
         raise DecodeError("no undetectable observable-flipping set exists")
     return int(best)

@@ -1,8 +1,8 @@
 """GF(2) linear algebra on Python-int bit rows.
 
-Layout: a vector over n columns is a Python int whose bit c is column c
-(as for the rows in tableau.py), and a matrix is a list of them.  A row
-takes about n/8 bytes, and a row operation is one XOR of two ints.
+Layout: a vector over n columns is a Python int whose bit c is column c,
+and a matrix is a list of them.  A row takes about n/8 bytes, and a row
+operation is one XOR of two ints.
 
 Every reduction goes through one lowest-bit basis {pivot: (row, combo)}:
 the pivot of a row is its lowest set bit, no two rows share one, and combo

@@ -47,6 +47,17 @@ class NotThreeColorableError(LatticeError):
     """Raised when exhaustive search proves no proper face 3-colouring exists."""
 
 
+def _require_int(value, error: type[Exception], message: str, least=None) -> None:
+    """Raise error(message) unless value is an integer, not a bool, and at
+    least least where that is given."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or (least is not None and value < least)
+    ):
+        raise error(message)
+
+
 @dataclass(frozen=True)
 class Edge:
     u: int
@@ -594,8 +605,8 @@ def generate_honeycomb_torus(Lx: int, Ly: int) -> Lattice:
     the torus when 3 | Lx and 3 | Ly.  Other sizes are rejected.
     """
     for size in (Lx, Ly):
-        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
-            raise LatticeError(f"periods must be integers >= 1, not {size!r}")
+        message = f"periods must be integers >= 1, not {size!r}"
+        _require_int(size, LatticeError, message, least=1)
     if Lx % 3 != 0 or Ly % 3 != 0:
         raise LatticeError(
             f"honeycomb torus ({Lx},{Ly}) admits no consistent face 3-colouring "
@@ -635,8 +646,8 @@ def fine_grain(lat: Lattice, f: int) -> Lattice:
     large-face count and hexagons for every added face.  Level 1 returns the
     lattice unchanged.
     """
-    if isinstance(f, bool) or not isinstance(f, numbers.Integral) or f < 1:
-        raise LatticeError(f"fine-graining level must be an integer >= 1, not {f!r}")
+    message = f"fine-graining level must be an integer >= 1, not {f!r}"
+    _require_int(f, LatticeError, message, least=1)
     if f == 1:
         return lat
     validate_lattice(lat, require_colors=True)

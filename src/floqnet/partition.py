@@ -15,7 +15,6 @@ cluster, about 2 GB at n ≈ 16k.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from floqnet.lattice import Lattice
+from floqnet.lattice import Lattice, _require_int
 
 __all__ = [
     "Partition",
@@ -117,8 +116,7 @@ def partition_code(lattice: Lattice, n_qpu: int, seed: int = 0) -> Partition:
     bisection solves a dense eigenproblem of the cluster's size, so memory
     grows as n² in the lattice's vertex count.
     """
-    if isinstance(n_qpu, bool) or not isinstance(n_qpu, numbers.Integral):
-        raise PartitionError(f"n_qpu must be an integer, not {n_qpu!r}")
+    _require_int(n_qpu, PartitionError, f"n_qpu must be an integer, not {n_qpu!r}")
     if n_qpu < 5:
         raise PartitionError("n_qpu must be at least 5")
     all_edges = [(e.u, e.v) for e in lattice.edges]

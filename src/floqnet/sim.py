@@ -36,6 +36,10 @@ split, in the style of stim, into two disjoint graph-like mechanisms that
 the circuit already has; a record flip that does not split so is split
 through its before and after atoms.  Anything else raises
 GraphExtractionError (see extract_decoding_graph).
+
+Determinism certification runs the same ops over stabiliser gauge columns
+(see _random_parities): a parity of records is deterministic in the
+noiseless circuit exactly when no gauge flips it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from __future__ import annotations
 import collections
 import itertools
 import json
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -59,6 +62,7 @@ from floqnet.circuit import (
     MeasurePP,
     Reset,
 )
+from floqnet.lattice import _require_int
 
 __all__ = [
     "ShotBatch",
@@ -182,15 +186,9 @@ def _parity_slices(lists) -> list[tuple[int, int, np.ndarray, np.ndarray, np.nda
     return slices
 
 
-def _compile_sampler(circuit: CircuitProgram) -> tuple[list[tuple], list[tuple]]:
-    """Flatten the instruction list into index arrays for the packed kernel.
-
-    Frame rows 0..n-1 hold the X components of the n qubits and rows n..2n-1
-    their Z components.  Returns (ops, parity slices over record rows for the
-    detectors followed by the observables).  Noise ops carry the annotation
-    index that keys their random stream, counted in instruction order.
-    """
-    n = circuit.n_qubits
+def _parity_lists(circuit: CircuitProgram) -> list[list[int]]:
+    """The record lists of the detectors followed by the observables, in
+    index order, each a sorted set: a record listed twice counts once."""
     n_obs = circuit.n_observables
     if not circuit.measurement_index_ok():
         raise CircuitError("a detector or observable references a missing record")
@@ -199,10 +197,19 @@ def _compile_sampler(circuit: CircuitProgram) -> tuple[list[tuple], list[tuple]]
         if not 0 <= obs.index < n_obs:
             raise CircuitError(f"observable index {obs.index} outside [0, {n_obs})")
         obs_records[obs.index].update(obs.records)
-    # a record listed twice counts once, as a set of records
     parity_lists = [sorted(set(det.records)) for det in circuit.detectors]
-    parity_lists += [sorted(recs) for recs in obs_records]
+    return parity_lists + [sorted(recs) for recs in obs_records]
 
+
+def _compile_ops(circuit: CircuitProgram) -> list[tuple]:
+    """Flatten the instruction list into index arrays for the packed kernel,
+    one op per instruction.
+
+    Frame rows 0..n-1 hold the X components of the n qubits and rows n..2n-1
+    their Z components.  Noise ops carry the annotation index that keys
+    their random stream, counted in instruction order.
+    """
+    n = circuit.n_qubits
     ops: list[tuple] = []
     qubits_seen: list[np.ndarray] = []
     ann = 0
@@ -251,21 +258,27 @@ def _compile_sampler(circuit: CircuitProgram) -> tuple[list[tuple], list[tuple]]
         q = np.concatenate(qubits_seen)
         if q.size and (q.min() < 0 or q.max() >= n):
             raise CircuitError(f"an instruction targets a qubit outside [0, {n})")
-    return ops, _parity_slices(parity_lists)
+    return ops
+
+
+def _compiled_ops(circuit: CircuitProgram) -> list[tuple]:
+    """_compile_ops' output, kept on the program and compiled again once its
+    instruction tuple is another object or its qubit or record count
+    changes."""
+    sources = (circuit.instructions, circuit.n_qubits, circuit.n_records)
+    return circuit.cached("ops", sources, lambda: _compile_ops(circuit))
 
 
 def _compiled(circuit: CircuitProgram) -> tuple[list[tuple], list[tuple]]:
-    """_compile_sampler's output, kept on the program and compiled again
-    once its instruction, detector or observable tuple is another object,
-    or its qubit or record count changes."""
-    sources = (
-        circuit.instructions,
-        circuit.detectors,
-        circuit.observables,
-        circuit.n_qubits,
-        circuit.n_records,
+    """The compiled ops and the parity slices over record rows for the
+    detectors followed by the observables, each kept on the program; the
+    slices are built again once its detector or observable tuple is another
+    object or its record count changes."""
+    sources = (circuit.detectors, circuit.observables, circuit.n_records)
+    slices = circuit.cached(
+        "parities", sources, lambda: _parity_slices(_parity_lists(circuit))
     )
-    return circuit.cached("sampler", sources, lambda: _compile_sampler(circuit))
+    return _compiled_ops(circuit), slices
 
 
 def _flip(words: np.ndarray, rows: np.ndarray, shots: np.ndarray) -> None:
@@ -289,8 +302,7 @@ def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
     the circuit does not have.
     """
     for name, value in (("shots", shots), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
+        _require_int(value, ValueError, f"{name} must be an integer, not {value!r}")
     shots, seed = int(shots), int(seed)
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -454,19 +466,60 @@ def _record_signatures(circuit: CircuitProgram, slices) -> _Signatures:
     )
 
 
+def _run_columns(circuit: CircuitProgram, ops, slot, row, col, slices):
+    """Run the sampler's ops over columns in place of shots, _CHUNK at a time.
+
+    Injection k XORs a Pauli component into frame row row[k] of column
+    col[k] at slot[k], where slot 2i is just before instruction i and slot
+    2i + 1 just after it; the injections are sorted by column.  No random
+    event is drawn, and a chunk of columns starts at its earliest slot.
+    Yields, per chunk, its first column and its packed parity bits: bit j
+    of word w of row p is set when column lo + 64w + j flips parity p of
+    slices.
+    """
+    n = circuit.n_qubits
+    n_par = slices[-1][1] if slices else 0
+    n_cols = int(col[-1]) + 1 if col.size else 0
+    for lo in range(0, n_cols, _CHUNK):
+        hi = min(lo + _CHUNK, n_cols)
+        first, end = np.searchsorted(col, (lo, hi)).tolist()
+        order = first + np.argsort(slot[first:end], kind="stable")
+        s, r, c = slot[order], row[order], col[order] - lo
+        bounds = np.searchsorted(s, np.arange(2 * len(ops) + 1)).tolist()
+        n_words = -(-(hi - lo) // 64)
+        frame = np.zeros((2 * n, n_words), dtype=_WORD)
+        flips = np.zeros((circuit.n_records, n_words), dtype=_WORD)
+
+        def inject(t: int) -> None:
+            a, b = bounds[t], bounds[t + 1]
+            if a < b:
+                _flip(frame, r[a:b], c[a:b])
+
+        for i in range(int(s[0]) // 2, len(ops)):
+            op = ops[i]
+            inject(2 * i)
+            if op[0] == _CLEAR:
+                frame[op[1]] = 0
+            elif op[0] == _MEASURE:
+                rec, nprod, flat, starts, sizes = op[3:]
+                flips[rec : rec + nprod] = _xor_rows(frame, flat, starts, sizes)
+            inject(2 * i + 1)
+        bits = np.empty((n_par, n_words), dtype=_WORD)
+        for a, b, flat, starts, sizes in slices:
+            bits[a:b] = _xor_rows(flips, flat, starts, sizes)
+        yield lo, bits
+
+
 def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
-    """Run the sampler's ops over atom columns in place of shots.
+    """Run the sampler's ops over atom columns (see _run_columns).
 
     Each noise cell of a Depolarize1 or Depolarize2 with p > 0 gets an X and
     a Z column per qubit, in cell order, just before the instruction.  Each
     product of a MeasurePP with flip_p > 0 gets a Pauli on its first qubit
     that anticommutes with the product there, in one column just before
-    the measurement and in one just after it, in product order.  No random
-    event is drawn, and a chunk of columns starts at its first column's
-    instruction.
+    the measurement and in one just after it, in product order.
     """
     n = circuit.n_qubits
-    n_det = circuit.n_detectors
     slot, rows = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for i, op in enumerate(ops):
         if op[0] == _PAULI and op[2] > 0:
@@ -489,32 +542,9 @@ def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
     slot = np.concatenate(slot)
     rows = np.concatenate(rows)
     n_cols = slot.size
-    bounds = np.searchsorted(slot, np.arange(2 * len(ops) + 1)).tolist()
 
     items, pars = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo in range(0, n_cols, _CHUNK):
-        hi = min(lo + _CHUNK, n_cols)
-        n_words = -(-(hi - lo) // 64)
-        frame = np.zeros((2 * n, n_words), dtype=_WORD)
-        flips = np.zeros((circuit.n_records, n_words), dtype=_WORD)
-
-        def inject(s: int) -> None:
-            cols = np.arange(max(bounds[s], lo), min(bounds[s + 1], hi))
-            if cols.size:
-                _flip(frame, rows[cols], cols - lo)
-
-        for i in range(int(slot[lo]) // 2, len(ops)):
-            op = ops[i]
-            inject(2 * i)
-            if op[0] == _CLEAR:
-                frame[op[1]] = 0
-            elif op[0] == _MEASURE:
-                rec, nprod, flat, starts, sizes = op[3:]
-                flips[rec : rec + nprod] = _xor_rows(frame, flat, starts, sizes)
-            inject(2 * i + 1)
-        bits = np.empty((n_det + circuit.n_observables, n_words), dtype=_WORD)
-        for a, b, flat, starts, sizes in slices:
-            bits[a:b] = _xor_rows(flips, flat, starts, sizes)
+    for lo, bits in _run_columns(circuit, ops, slot, rows, np.arange(n_cols), slices):
         # unpack only the non-zero words: bit j of word w is column 64w + j
         par, word = np.nonzero(bits)
         hit, bit = np.nonzero(
@@ -527,8 +557,61 @@ def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
     items = np.concatenate(items)
     pars = np.concatenate(pars)
     order = np.lexsort((pars, items))
-    sigs = _Signatures.from_pairs(n_cols, items[order], pars[order], n_det)
+    sigs = _Signatures.from_pairs(
+        n_cols, items[order], pars[order], circuit.n_detectors
+    )
     return _Columns(slot, rows, sigs)
+
+
+def _gauge_columns(circuit: CircuitProgram) -> tuple[np.ndarray, ...]:
+    """(slot, frame row, column) injections of the stabiliser gauges, by column.
+
+    Each column is one Pauli that stabilises the noiseless state where it
+    is injected: Z on every qubit before the first instruction, Z on each
+    target just after a Reset, X_aX_b and Z_aZ_b just after a BellPrep of
+    (a, b), and each measured product just after its MeasurePP.
+    """
+    n = circuit.n_qubits
+    slots, paulis = [0] * n, [[q + n] for q in range(n)]
+    for i, instr in enumerate(circuit.instructions):
+        if isinstance(instr, Reset):
+            new = [[q + n] for q in instr.targets]
+        elif isinstance(instr, BellPrep):
+            new = [rows for a, b in instr.pairs for rows in ([a, b], [a + n, b + n])]
+        elif isinstance(instr, MeasurePP):
+            # bit0 of a Pauli code is its X component (row q), bit1 its Z (row q + n)
+            new = [
+                [q + n * z for q, p in prod for z in (0, 1) if _PCODE[p] >> z & 1]
+                for prod in instr.products
+                if prod
+            ]
+        else:
+            continue
+        slots += [2 * i + 1] * len(new)
+        paulis += new
+    row, _, sizes = _index_lists(paulis)
+    col = np.repeat(np.arange(len(paulis)), sizes)
+    return np.repeat(np.asarray(slots, dtype=np.int64), sizes), row, col
+
+
+def _random_parities(circuit: CircuitProgram, parity_lists) -> np.ndarray:
+    """For each list of records, whether the XOR of their noiseless outcomes
+    is random; a record listed twice cancels.
+
+    Frame randomisation as in stim: multiplying the frame by a stabiliser of
+    the state leaves every outcome distribution as it is, so a parity that
+    some gauge column (see _gauge_columns) flips takes both values, and the
+    gauges generate every random outcome, so one that no gauge flips is
+    deterministic.  Raises CircuitError where the instructions do not
+    compile (see _compile_ops).
+    """
+    slices = _parity_slices(parity_lists)
+    flipped = np.zeros(len(parity_lists), dtype=bool)
+    for _, bits in _run_columns(
+        circuit, _compiled_ops(circuit), *_gauge_columns(circuit), slices
+    ):
+        flipped |= bits.any(axis=1)
+    return flipped
 
 
 def _terms(ops, cols: _Columns, rec_sigs: _Signatures):

@@ -30,10 +30,12 @@ _P1 = {
 class StatevectorSim:
     """Dense simulator of Pauli-product measurements on few qubits.
 
-    The k-th random outcome of measure takes branches[k] (0 past its end,
-    the +1 branch, matching the production simulator with every symbolic
-    random bit 0).  The projections inside reset_z and bell_prep take the
-    +1 branch and draw no branch.
+    The k-th random outcome takes branches[k] (0 past its end, the +1
+    branch), counting those of measure and those of the Z measurement
+    inside reset_z: a reset measures its qubit and flips it back to |0>, so
+    an entangled partner keeps a random outcome.  The XX projection inside
+    bell_prep, which follows two resets, takes the +1 branch and draws no
+    branch.
     """
 
     def __init__(self, n_qubits: int, branches=()):
@@ -78,7 +80,7 @@ class StatevectorSim:
         return bit, det
 
     def reset_z(self, q: int) -> None:
-        bit, _ = self._collapse({q: "Z"}, 0)
+        bit, _ = self.measure({q: "Z"})
         if bit:
             self.apply_pauli({q: "X"})
 

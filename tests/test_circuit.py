@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from floqnet import circuit as circuit_module
+from floqnet import sim as sim_module
 from floqnet.circuit import (
     BellPrep,
     CircuitProgram,
@@ -182,29 +183,33 @@ def test_rejects_bad_round_count(hc):
             build_memory_circuit(hc, None, NoiseParams(0, 0), rounds)
 
 
-def _count_tableaus(monkeypatch) -> list:
-    """Patch the symbolic tableau to count its runs; returns the counter."""
-    runs = []
-    real = circuit_module.SymbolicTableau
+def _count_calls(monkeypatch, name: str) -> list:
+    """Patch sim's function name to count its calls; returns the counter."""
+    calls = []
+    real = getattr(sim_module, name)
 
-    def counted(n_qubits):
-        runs.append(n_qubits)
-        return real(n_qubits)
+    def counted(circuit, *args):
+        calls.append(args)
+        return real(circuit, *args)
 
-    monkeypatch.setattr(circuit_module, "SymbolicTableau", counted)
-    return runs
-
-
-def _no_tableau(n_qubits):
-    raise AssertionError("the symbolic tableau ran")
+    monkeypatch.setattr(sim_module, name, counted)
+    return calls
 
 
 def test_build_and_certify_simulate_once(hc, hc_part, monkeypatch):
-    runs = _count_tableaus(monkeypatch)
+    # the instructions are compiled once for compiling, certifying and
+    # sampling; each certification is one run over the gauge columns
+    compiles = _count_calls(monkeypatch, "_compile_ops")
+    runs = _count_calls(monkeypatch, "_random_parities")
     c = build_memory_circuit(hc, hc_part, NoiseParams(1e-3, 1e-2), 2)
-    assert len(runs) == 1
-    monkeypatch.setattr(circuit_module, "SymbolicTableau", _no_tableau)
+    assert len(compiles) == 1 and len(runs) == 1
+    (candidates,) = runs[0]
+    assert len(candidates) > c.n_detectors + c.n_observables
     assert validate_determinism(c).ok
+    assert len(runs) == 2
+    assert len(runs[1][0]) == c.n_detectors + c.n_observables
+    sample_shots(c, 1, 10)
+    assert len(compiles) == 1
 
 
 def _flip_one_pauli(instructions: tuple) -> tuple:
@@ -225,19 +230,23 @@ def _flip_one_pauli(instructions: tuple) -> tuple:
 @pytest.mark.parametrize("how", ["replace", "reassign"])
 def test_changed_instructions_are_simulated_again(hc, monkeypatch, how):
     c = build_memory_circuit(hc, None, NoiseParams(1e-3, 0), 1)
-    runs = _count_tableaus(monkeypatch)
+    compiles = _count_calls(monkeypatch, "_compile_ops")
     changed = _flip_one_pauli(c.instructions)
     if how == "replace":
         c = dataclasses.replace(c, instructions=changed)
     else:
         c.instructions = changed
     report = validate_determinism(c)
-    assert len(runs) == 1
+    assert len(compiles) == 1
     assert not report.ok
 
 
-def test_sampling_a_hand_built_program_runs_no_tableau(monkeypatch):
-    monkeypatch.setattr(circuit_module, "SymbolicTableau", _no_tableau)
+def _no_certification(circuit, parity_lists):
+    raise AssertionError("determinism was certified")
+
+
+def test_sampling_a_hand_built_program_runs_no_certification(monkeypatch):
+    monkeypatch.setattr(sim_module, "_random_parities", _no_certification)
     program = CircuitProgram(
         name="hand",
         n_qubits=2,
@@ -292,7 +301,7 @@ def test_measure_rejects_unknown_pauli():
 
 
 def test_measure_rejects_repeated_qubit():
-    # X0·Z0 is not Hermitian; the tableau and the sampler read it differently
+    # X0·Z0 is not Hermitian, and the frame rows would read it as Y0
     with pytest.raises(CircuitError, match="twice"):
         MeasurePP(0.0, (((0, "X"), (0, "Z")),))
 

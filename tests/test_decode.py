@@ -11,6 +11,7 @@ from floqnet.decode import (
     DecoderContext,
     decode_batch,
     decode_syndrome,
+    shortest_graphlike_error,
 )
 from floqnet.lattice import generate_honeycomb_torus
 from floqnet.sim import DecodingGraph, sample_shots, extract_decoding_graph
@@ -195,3 +196,62 @@ def _empty_graph(n_det):
 def test_decode_syndrome_rejects_bad_input(graph, syndrome):
     with pytest.raises(DecodeError):
         decode_syndrome(graph, np.array(syndrome, dtype=np.uint8))
+
+
+@st.composite
+def _distance_graphs(draw):
+    """_graphs' graphs, some with a parallel copy of one mechanism that
+    flips other observables."""
+    graph = draw(_graphs())
+    mechs = [
+        (int(a), int(b), 1, int(o))
+        for a, b, o in zip(graph.det1, graph.det2, graph.obs_mask)
+    ]
+    if draw(st.booleans()):
+        a, b, w, obs = mechs[draw(st.integers(0, len(mechs) - 1))]
+        mechs.append((a, b, w, obs ^ draw(st.integers(min_value=1, max_value=3))))
+    return _graph(graph.n_detectors, mechs)
+
+
+def _brute_force_distance(graph):
+    """Fewest mechanisms whose detectors cancel and whose observable masks
+    do not, or None."""
+    syndromes = [
+        (1 << int(a)) | ((1 << int(b)) if b >= 0 else 0)
+        for a, b in zip(graph.det1, graph.det2)
+    ]
+    masks = [int(o) for o in graph.obs_mask]
+    for size in range(1, graph.n_edges + 1):
+        for combo in itertools.combinations(range(graph.n_edges), size):
+            syndrome = mask = 0
+            for i in combo:
+                syndrome ^= syndromes[i]
+                mask ^= masks[i]
+            if not syndrome and mask:
+                return size
+    return None
+
+
+@given(_distance_graphs())
+@settings(max_examples=300, deadline=None)
+def test_shortest_graphlike_error_against_brute_force(graph):
+    want = _brute_force_distance(graph)
+    if want is None:
+        with pytest.raises(DecodeError, match="no undetectable"):
+            shortest_graphlike_error(graph)
+    else:
+        assert shortest_graphlike_error(graph) == want
+
+
+@pytest.mark.parametrize(
+    "graph, match",
+    [
+        (_graph(2, [(0, 1, 1, 0)], n_obs=0), "no observable"),
+        (_empty_graph(3), "empty"),
+        (_graph(2, [(0, 1, 1, 1), (-1, -1, 1, 1)]), "no detector"),
+    ],
+    ids=["no-observable", "empty-graph", "undetectable"],
+)
+def test_shortest_graphlike_error_rejects_bad_graphs(graph, match):
+    with pytest.raises(DecodeError, match=match):
+        shortest_graphlike_error(graph)
