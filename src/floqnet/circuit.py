@@ -732,21 +732,20 @@ def validate_determinism(program: CircuitProgram) -> DeterminismReport:
     """Flag any detector whose parity is not deterministic and any observable
     whose value is not deterministic in the noiseless circuit.
 
-    Runs the kernel's Pauli frames over stabiliser gauges (see
-    floqnet.sim._random_parities), in which a record listed twice cancels.
-    Raises CircuitError where the instructions do not compile: an unknown
-    instruction, a qubit out of range or a record count that differs from
-    n_records.
+    Certifies exactly the record sets that sampling and graph extraction
+    read (floqnet.sim._parity_lists): a record that a detector lists twice
+    counts once, and the entries of one observable index are merged into
+    one set, reported by that index.  Runs the kernel's Pauli frames over
+    stabiliser gauges (see floqnet.sim._random_parities).  Raises
+    CircuitError where an observable index is out of range or the
+    instructions do not compile: an unknown instruction, a qubit out of
+    range or a record count that differs from n_records.
     """
-    from floqnet.sim import _random_parities  # sim imports this module
+    from floqnet.sim import _parity_lists, _random_parities  # sim imports this module
 
     if not program.measurement_index_ok():
         return DeterminismReport(False, ((-1, "record index out of range"),), ())
-    random = _random_parities(
-        program,
-        [det.records for det in program.detectors]
-        + [obs.records for obs in program.observables],
-    ).tolist()
+    random = _random_parities(program, _parity_lists(program)).tolist()
     n_det = program.n_detectors
     bad_d = tuple(
         (i, "parity depends on measurement randomness")
@@ -754,8 +753,8 @@ def validate_determinism(program: CircuitProgram) -> DeterminismReport:
         if bad
     )
     bad_o = tuple(
-        (obs.index, "value depends on measurement randomness")
-        for obs, bad in zip(program.observables, random[n_det:])
+        (k, "value depends on measurement randomness")
+        for k, bad in enumerate(random[n_det:])
         if bad
     )
     return DeterminismReport(not bad_d and not bad_o, bad_d, bad_o)

@@ -25,21 +25,31 @@ or observable lists twice counts once.
 Graph extraction builds the detector error model from the same compiled
 ops, run over atom columns in place of shots.  Each column of the packed
 frame holds one deterministic single-qubit Pauli: an X and a Z per qubit of
-every noisy depolarising cell, and, for every product with a noisy
-outcome, a Pauli on its first qubit that anticommutes with it there,
-injected just before and just after the measurement.  A column's detector
-and observable bits are read through the sampler's parity slices.  A Pauli
-term of a depolarising channel is the XOR of its qubits' columns; a record
-flip is its record's detectors and observables, checked against the XOR of
-its before and after columns.  Terms that flip three or four detectors are
-split, in the style of stim, into two disjoint graph-like mechanisms that
-the circuit already has; a record flip that does not split so is split
-through its before and after atoms.  Anything else raises
+every noisy depolarising cell, and, for every product with a noisy outcome,
+a Pauli on its first qubit that anticommutes with it there, injected just
+before and just after the measurement.  A column's detector and observable
+bits are read through the sampler's parity slices, and kept as a CSR of
+detectors with one observable mask per column.  Columns on one frame row
+between the same two ops that read or clear it share their bits, so one
+column per such stretch is run.  A Pauli term of a depolarising channel is
+the XOR of its qubits' columns; a record flip is its record's detectors and
+observables, checked against the XOR of its before and after columns.  The
+terms are never Python objects: batches of whole instructions expand every
+term's columns through the CSR and keep the detectors that an odd number of
+them flip, and terms with equal detectors and mask are folded with
+np.lexsort and one vectorised composition per occurrence rank, in term
+order, so the graph does not depend on the batching.  Terms that flip three
+or four detectors are split, in the style of stim, into two disjoint
+graph-like mechanisms that the circuit already has; a record flip that does
+not split so is split through its before and after atoms.  Only these
+splits run in Python, once per distinct Pauli hyperedge and once per
+record flip with three or four detectors.  Anything else raises
 GraphExtractionError (see extract_decoding_graph).
 
 Determinism certification runs the same ops over stabiliser gauge columns
-(see _random_parities): a parity of records is deterministic in the
-noiseless circuit exactly when no gauge flips it.
+(see _random_parities), on the record sets that sampling reads: a parity
+of records is deterministic in the noiseless circuit exactly when no gauge
+flips it.
 """
 
 from __future__ import annotations
@@ -392,22 +402,19 @@ class DecodingGraph:
         return -np.log(p / (1.0 - p))
 
 
-def _compose(p1: float, p2: float) -> float:
+def _compose(p1, p2):
+    """The probability that exactly one of two independent events occurs;
+    floats or arrays, with the same operations in the same order."""
     return p1 * (1 - p2) + p2 * (1 - p1)
 
 
-def _bitset(dets) -> int:
-    return sum(1 << d for d in dets)
-
-
-def _members(bits: int) -> tuple[int, ...]:
-    """The set bits of a detector bitset, ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(out)
+def _gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions indptr[r] .. indptr[r + 1] - 1 of each row r in rows,
+    concatenated, and each row's length."""
+    start = indptr[rows]
+    length = indptr[rows + 1] - start
+    offset = np.repeat(start - (np.cumsum(length) - length), length)
+    return offset + np.arange(offset.size), length
 
 
 class _Signatures(NamedTuple):
@@ -432,13 +439,10 @@ class _Signatures(NamedTuple):
         np.bitwise_or.at(masks, item[obs], bit)
         return cls(indptr, par[is_det], masks)
 
-    def between(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """(detector bitset, observable mask) of items lo..hi-1."""
-        ptr = self.indptr[lo : hi + 1]
-        dets = self.dets[ptr[0] : ptr[-1]].tolist()
-        ptr = (ptr - ptr[0]).tolist()
-        masks = self.masks[lo:hi].tolist()
-        return [(_bitset(dets[ptr[k] : ptr[k + 1]]), masks[k]) for k in range(hi - lo)]
+    def row(self, k: int) -> tuple[tuple[int, ...], int]:
+        """(detectors, observable mask) of item k."""
+        dets = self.dets[self.indptr[k] : self.indptr[k + 1]]
+        return tuple(dets.tolist()), int(self.masks[k])
 
 
 class _Columns(NamedTuple):
@@ -510,6 +514,25 @@ def _run_columns(circuit: CircuitProgram, ops, slot, row, col, slices):
         yield lo, bits
 
 
+def _row_stretches(ops, slot: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Per injection into frame row row[k] at slot[k], an id of the stretch
+    of that row between two ops that read or clear it.  Nothing else acts
+    on a frame row, so injections with one id flip the same parities."""
+    n_slots = 2 * len(ops)
+    events = [np.empty(0, dtype=np.int64)]  # row * n_slots + slot just after
+    for i, op in enumerate(ops):
+        if op[0] == _CLEAR:
+            events.append(op[1] * n_slots + 2 * i + 1)
+        elif op[0] == _MEASURE:
+            events.append(op[5] * n_slots + 2 * i + 1)
+    events = np.unique(np.concatenate(events))
+    # the count of events up to an injection tells its stretch only together
+    # with its row: one row's last stretch and the next row's first count
+    # the same events
+    before = np.searchsorted(events, row * n_slots + slot, "right")
+    return row * (events.size + 1) + before
+
+
 def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
     """Run the sampler's ops over atom columns (see _run_columns).
 
@@ -517,7 +540,9 @@ def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
     a Z column per qubit, in cell order, just before the instruction.  Each
     product of a MeasurePP with flip_p > 0 gets a Pauli on its first qubit
     that anticommutes with the product there, in one column just before
-    the measurement and in one just after it, in product order.
+    the measurement and in one just after it, in product order.  Only the
+    first column of each stretch of a frame row (see _row_stretches) is
+    run; the others copy its signature.
     """
     n = circuit.n_qubits
     slot, rows = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -541,10 +566,19 @@ def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
         rows.append(r)
     slot = np.concatenate(slot)
     rows = np.concatenate(rows)
-    n_cols = slot.size
+    _, first, inverse = np.unique(
+        _row_stretches(ops, slot, rows), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    run = first[order]  # the first column of each stretch, in slot order
+    copy_of = np.empty_like(order)
+    copy_of[order] = np.arange(order.size)
+    copy_of = copy_of[inverse.reshape(-1)]  # per column, its place in run
 
     items, pars = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo, bits in _run_columns(circuit, ops, slot, rows, np.arange(n_cols), slices):
+    for lo, bits in _run_columns(
+        circuit, ops, slot[run], rows[run], np.arange(run.size), slices
+    ):
         # unpack only the non-zero words: bit j of word w is column 64w + j
         par, word = np.nonzero(bits)
         hit, bit = np.nonzero(
@@ -558,8 +592,12 @@ def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
     pars = np.concatenate(pars)
     order = np.lexsort((pars, items))
     sigs = _Signatures.from_pairs(
-        n_cols, items[order], pars[order], circuit.n_detectors
+        run.size, items[order], pars[order], circuit.n_detectors
     )
+    pos, length = _gather(sigs.indptr, copy_of)
+    indptr = np.zeros(copy_of.size + 1, dtype=np.int64)
+    np.cumsum(length, out=indptr[1:])
+    sigs = _Signatures(indptr, sigs.dets[pos], sigs.masks[copy_of])
     return _Columns(slot, rows, sigs)
 
 
@@ -596,7 +634,8 @@ def _gauge_columns(circuit: CircuitProgram) -> tuple[np.ndarray, ...]:
 
 def _random_parities(circuit: CircuitProgram, parity_lists) -> np.ndarray:
     """For each list of records, whether the XOR of their noiseless outcomes
-    is random; a record listed twice cancels.
+    is random.  Each list is read as a set, as the sampler reads detector
+    and observable lists: a record listed twice counts once.
 
     Frame randomisation as in stim: multiplying the frame by a stabiliser of
     the state leaves every outcome distribution as it is, so a parity that
@@ -605,7 +644,7 @@ def _random_parities(circuit: CircuitProgram, parity_lists) -> np.ndarray:
     deterministic.  Raises CircuitError where the instructions do not
     compile (see _compile_ops).
     """
-    slices = _parity_slices(parity_lists)
+    slices = _parity_slices([sorted(set(recs)) for recs in parity_lists])
     flipped = np.zeros(len(parity_lists), dtype=bool)
     for _, bits in _run_columns(
         circuit, _compiled_ops(circuit), *_gauge_columns(circuit), slices
@@ -614,45 +653,135 @@ def _random_parities(circuit: CircuitProgram, parity_lists) -> np.ndarray:
     return flipped
 
 
-def _terms(ops, cols: _Columns, rec_sigs: _Signatures):
-    """Every Pauli term and record flip, in instruction order.
+# The 4^k - 1 Pauli terms of a k-qubit depolarising cell as sets of the
+# cell's 2k atom columns, column c the X (c even) or Z component of qubit
+# c // 2: (column offsets, sizes).  Term t - 1 puts Pauli
+# (t >> 2(k - 1 - j)) & 3 (bit0 X, bit1 Z) on qubit j, which is
+# itertools.product order over (I, X, Z, Y) per qubit, the first qubit in
+# the high bits, as the sampler numbers them.
+_PAULI_TERMS = {
+    k: _index_lists(
+        [
+            [c for c in range(2 * k) if (t >> 2 * (k - 1 - c // 2) + c % 2) & 1]
+            for t in range(1, 4**k)
+        ]
+    )[::2]
+    for k in (1, 2)
+}
+_TERM_BATCH = 1 << 12  # terms whose signatures are expanded at once
+# (flat, sizes, p, instruction, record) of no terms, as _term_batches yields them
+_NO_TERMS = (np.empty(0, np.int64),) * 2 + (np.empty(0),) + (np.empty(0, np.int64),) * 2
 
-    Yields (instruction, detector bitset, observable mask, p, atoms), where
-    atoms is the (before, after) column signature pair of a record flip and
-    None for a Pauli term.  A Pauli term is the XOR of its qubits' columns.
+
+def _stack(parts: list) -> list[np.ndarray]:
+    """Concatenate per-batch tuples of arrays field by field; empties parts."""
+    out = [np.concatenate(a) for a in zip(*parts)]
+    parts.clear()
+    return out
+
+
+def _term_batches(ops, slot: np.ndarray):
+    """Every Pauli term and record flip as a set of atom columns, in
+    instruction order, in batches of whole instructions that stop once
+    they hold _TERM_BATCH terms; at least one batch, perhaps empty.
+
+    Yields (flat, sizes, p, instruction, record): term t is the XOR of the
+    sizes[t] columns that follow the earlier terms' in flat, occurs with
+    probability p[t] and comes from instruction[t]; record[t] is the record
+    that a record flip flips, and -1 for a Pauli term.  A record flip's
+    columns are its before and its after atom.
     """
-    bounds = np.searchsorted(cols.slot, 2 * np.arange(len(ops) + 1)).tolist()
-    identity = (0, 0)
+    bounds = np.searchsorted(slot, 2 * np.arange(len(ops) + 1)).tolist()
+    parts, n_terms = [_NO_TERMS], 0
     for i, op in enumerate(ops):
         lo, hi = bounds[i], bounds[i + 1]
         if lo == hi:
             continue
-        sigs = cols.sigs.between(lo, hi)
         if op[0] == _PAULI:
-            p, k = op[2], op[3].shape[1]
-            p_term = p / (4**k - 1)
-            for c in range(0, len(sigs), 2 * k):
-                # per qubit: I, X, Z, Y = XZ
-                cell = sigs[c : c + 2 * k]
-                sides = [
-                    (identity, x, z, (x[0] ^ z[0], x[1] ^ z[1]))
-                    for x, z in zip(cell[::2], cell[1::2])
-                ]
-                for paulis in itertools.islice(itertools.product(*sides), 1, None):
-                    d, o = paulis[0]
-                    for dd, oo in paulis[1:]:
-                        d, o = d ^ dd, o ^ oo
-                    yield i, d, o, p_term, None
+            k = op[3].shape[1]
+            offsets, sizes = _PAULI_TERMS[k]
+            flat = (np.arange(lo, hi, 2 * k)[:, None] + offsets).reshape(-1)
+            sizes = np.tile(sizes, (hi - lo) // (2 * k))
+            p, record = op[2] / (4**k - 1), np.full(sizes.size, -1)
         else:
-            flip_p, rec, nprod = op[2], op[3], op[4]
-            for j, want in enumerate(rec_sigs.between(rec, rec + nprod)):
-                before, after = sigs[j], sigs[nprod + j]
-                if (before[0] ^ after[0], before[1] ^ after[1]) != want:
-                    raise GraphExtractionError(
-                        f"instruction {i}: the flip of record {rec + j} is not the "
-                        "XOR of a Pauli just before and just after its measurement"
-                    )
-                yield i, want[0], want[1], flip_p, (before, after)
+            nprod = op[4]
+            flat = np.arange(lo, hi).reshape(2, nprod).T.reshape(-1)
+            sizes = np.full(nprod, 2)
+            p, record = op[2], op[3] + np.arange(nprod)
+        n = sizes.size
+        parts.append((flat, sizes, np.full(n, p), np.full(n, i), record))
+        n_terms += n
+        if n_terms >= _TERM_BATCH:
+            yield _stack(parts)
+            n_terms = 0
+    if parts:
+        yield _stack(parts)
+
+
+def _term_signatures(sigs: _Signatures, m: int, flat, sizes):
+    """Each term's XOR of atom columns: its number of detectors, the
+    detectors of all terms as term * m + detector, ascending, and its
+    observable mask.  A detector stays where an odd number of the term's
+    columns flip it; m exceeds every detector."""
+    pos, length = _gather(sigs.indptr, flat)
+    term = np.repeat(np.repeat(np.arange(sizes.size), sizes), length)
+    keyed = term * m + sigs.dets[pos]
+    keyed.sort()
+    first = np.ones(keyed.size, dtype=bool)
+    first[1:] = keyed[1:] != keyed[:-1]
+    runs = np.flatnonzero(first)
+    keyed = keyed[runs[np.diff(runs, append=keyed.size) % 2 == 1]]
+    count = np.bincount(keyed // m, minlength=sizes.size)
+    masks = np.bitwise_xor.reduceat(sigs.masks[flat], np.cumsum(sizes) - sizes)
+    return count, keyed, masks
+
+
+def _record_mismatch(rec_sigs: _Signatures, m: int, record, keyed, masks) -> np.ndarray:
+    """Per term, whether it is a record flip whose signature (keyed and
+    masks, as from _term_signatures) differs from its record's detectors
+    and observables."""
+    terms = np.flatnonzero(record >= 0)
+    pos, length = _gather(rec_sigs.indptr, record[terms])
+    want = np.repeat(terms, length) * m + rec_sigs.dets[pos]
+    have = keyed[record[keyed // m] >= 0]
+    bad = np.zeros(record.size, dtype=bool)
+    bad[np.setxor1d(have, want, assume_unique=True) // m] = True
+    bad[terms] |= masks[terms] != rec_sigs.masks[record[terms]]
+    return bad
+
+
+def _fold(p: np.ndarray, *keys: np.ndarray):
+    """Compose the probabilities of terms with equal keys, given least
+    significant first as for np.lexsort.
+
+    Returns each group's first term, its number of terms and its composed
+    probability, the groups in key order.  A group's terms are composed in
+    term order, by one vectorised _compose per occurrence rank: the same
+    floats as composing them one at a time.
+    """
+    order = np.lexsort(keys)  # stable: equal keys stay in term order
+    new = np.ones(order.size, dtype=bool)
+    for k in keys:
+        new[1:] &= k[order[1:]] == k[order[:-1]]
+    new[1:] = ~new[1:]
+    start = np.flatnonzero(new)
+    group = (np.cumsum(new) - 1).astype(np.int32)
+    rank = (np.arange(order.size) - start[group]).astype(np.int32)
+    by_rank = np.argsort(rank, kind="stable")
+    prob = np.zeros(start.size)
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)).tolist():
+        sel = by_rank[lo:hi]
+        prob[group[sel]] = _compose(prob[group[sel]], p[order[sel]])
+        lo = hi
+    return order[start], np.diff(start, append=order.size), prob
+
+
+def _flip_probabilities(p: np.ndarray, masks: np.ndarray, n_obs: int) -> np.ndarray:
+    """Per observable, prod(1 - 2p) over the independent events whose mask
+    flips it; the observable flips with probability (1 - that) / 2."""
+    bits = np.uint64(1) << np.arange(n_obs, dtype=np.uint64)
+    return np.array([np.prod(1 - 2 * p[(masks & bit) != 0]) for bit in bits])
 
 
 def _split_in_two(dets: tuple, mask: int, known: dict):
@@ -678,7 +807,8 @@ def _split_in_two(dets: tuple, mask: int, known: dict):
 
 
 def _split_record_flip(atoms, known: dict):
-    """Step 2: split a record flip through its before and after atoms.
+    """Step 2: split a record flip through its before and after atoms, each
+    a (detectors, mask) pair with the detectors an ascending tuple.
 
     Each atom is split by step 1 where it flips 3 or 4 detectors.  A piece
     found on both sides cancels; pieces that share a detector are joined by
@@ -686,16 +816,18 @@ def _split_record_flip(atoms, known: dict):
     """
     pieces = []
     for d, o in atoms:
-        if d.bit_count() > 2:
-            split = _split_in_two(_members(d), o, known)
+        if len(d) > 2:
+            split = _split_in_two(d, o, known)
             if split is None:
                 return None
-            pieces += [(_bitset(dets), m) for dets, m in split]
+            pieces += split
         elif d or o:
             pieces.append((d, o))
     groups = []  # (detectors touched, XOR of detectors, XOR of masks)
-    for d, o in sorted(k for k, n in collections.Counter(pieces).items() if n % 2):
-        touched, dx, ox = d, d, o
+    for (d, o), n in collections.Counter(pieces).items():
+        if n % 2 == 0:
+            continue
+        touched, dx, ox = set(d), set(d), o
         rest = []
         for g in groups:
             if g[0] & touched:
@@ -704,7 +836,7 @@ def _split_record_flip(atoms, known: dict):
             else:
                 rest.append(g)
         groups = rest + [(touched, dx, ox)]
-    out = [(_members(dx), ox) for _, dx, ox in groups if dx or ox]
+    out = [(tuple(sorted(dx)), ox) for _, dx, ox in groups if dx or ox]
     if len(out) > 2 or any(not 1 <= len(d) <= 2 for d, _ in out):
         return None
     return out
@@ -733,93 +865,150 @@ def extract_decoding_graph(circuit: CircuitProgram) -> DecodingGraph:
        pieces sharing a detector joined, if that leaves at most two
        disjoint graph-like pieces.
 
+    The terms are array rows, never Python objects: batches of whole
+    instructions (_term_batches) expand each term's columns through the
+    column signatures and keep the detectors flipped an odd number of
+    times (_term_signatures).  Only the graph-like terms' keys and
+    probabilities and the 3- and 4-detector terms are kept past their
+    batch.  Equal keys are folded by np.lexsort and one vectorised
+    _compose per occurrence rank (_fold); only the distinct Pauli
+    hyperedges and the record flips with 3 or 4 detectors go through the
+    splits in Python.  Each edge's probability is composed in this order,
+    which makes the graph independent of the batching, bit for bit: its
+    graph-like terms in term order, then rule-1 pieces of the Pauli terms
+    (each distinct Pauli hyperedge composed over its terms first, the
+    hyperedges in the order of their first term), then the pieces of the
+    3- and 4-detector record flips in term order.
+
     Raises GraphExtractionError, naming the instruction and the number of
     detectors, for a term that flips an observable but no detector, a term
     that flips five or more detectors, and a term that neither rule splits;
     also where a record flip differs from its before and after columns, a
     noisy product measures no qubit, or there are more than 64 observables.
-    graph.stats counts the terms, graph-like terms, rule-1 and rule-2
-    splits and edges.
+    Of the terms at fault, the first in term order raises.  graph.stats
+    counts the terms, graph-like terms, rule-1 and rule-2 splits and edges,
+    and gives each observable's flip probability twice: over the terms
+    (obs_flip_terms) and over the graph's edges taken as independent
+    (obs_flip_graph), which differ where a split hands a piece an
+    observable that the term does not flip.
     """
     if circuit.n_observables > 64:
         raise GraphExtractionError("observable masks hold at most 64 observables")
     ops, slices = _compiled(circuit)
     cols = _atom_columns(circuit, ops, slices)
     rec_sigs = _record_signatures(circuit, slices)
+    n_obs = circuit.n_observables
+    m = max(circuit.n_detectors, 1)
+
+    graphlike, pauli_hyper, record_hyper = [], [], []
+    keep = np.ones(n_obs)  # per observable, prod(1 - 2p) over the terms
+    n_terms = 0
+    for flat, sizes, p, instr, record in _term_batches(ops, cols.slot):
+        count, keyed, masks = _term_signatures(cols.sigs, m, flat, sizes)
+        bad = _record_mismatch(rec_sigs, m, record, keyed, masks)
+        fault = bad | (count > 4) | ((count == 0) & (masks != 0))
+        if fault.any():
+            t = int(np.argmax(fault))
+            if bad[t]:
+                why = (
+                    f"the flip of record {record[t]} is not the XOR of a Pauli "
+                    "just before and just after its measurement"
+                )
+            elif count[t]:
+                why = (
+                    f"a mechanism flips {count[t]} detectors, more than the 4 "
+                    "that can be split into graph-like pieces"
+                )
+            else:
+                why = "a mechanism flips an observable but 0 detectors"
+            raise GraphExtractionError(f"instruction {instr[t]}: {why}")
+        term = keyed // m
+        dets = np.full((sizes.size, 4), -1, dtype=np.int32)
+        dets[term, np.arange(term.size) - (np.cumsum(count) - count)[term]] = keyed % m
+        n_terms += int(np.count_nonzero(count))
+        keep *= _flip_probabilities(p, masks, n_obs)
+        g = (count == 1) | (count == 2)
+        graphlike.append((dets[g, 0], dets[g, 1], masks[g], p[g]))
+        hyper = count > 2
+        h = hyper & (record < 0)
+        pauli_hyper.append((dets[h], masks[h], instr[h], p[h]))
+        h = hyper & (record >= 0)
+        # a record flip's before and after columns are its two in flat
+        at = (np.cumsum(sizes) - sizes)[h]
+        record_hyper.append((dets[h], masks[h], p[h], instr[h], flat[at], flat[at + 1]))
+    d1, d2, masks, p = _stack(graphlike)
+    first, _, prob = _fold(p, masks, d2, d1)
+    stats = {
+        "terms": n_terms,
+        "graphlike_terms": masks.size,
+        "step1_splits": 0,
+        "step2_splits": 0,
+    }
 
     edges: dict[tuple, float] = {}  # (detectors, mask) -> p
-    pauli_hyper: dict[tuple, list] = {}  # (detectors, mask) -> [p, instruction, terms]
-    record_hyper: list[tuple] = []  # ((detectors, mask), p, instruction, atoms)
-    stats = dict.fromkeys(
-        ("terms", "graphlike_terms", "step1_splits", "step2_splits"), 0
-    )
-    for i, d, o, p, atoms in _terms(ops, cols, rec_sigs):
-        if not d:
-            if o:
-                raise GraphExtractionError(
-                    f"instruction {i}: a mechanism flips an observable but 0 detectors"
-                )
-            continue
-        stats["terms"] += 1
-        n_flipped = d.bit_count()
-        if n_flipped > 4:
-            raise GraphExtractionError(
-                f"instruction {i}: a mechanism flips {n_flipped} detectors, "
-                "more than the 4 that can be split into graph-like pieces"
-            )
-        key = (_members(d), o)
-        if n_flipped <= 2:
-            stats["graphlike_terms"] += 1
-            edges[key] = _compose(edges.get(key, 0.0), p)
-        elif atoms is None:
-            entry = pauli_hyper.setdefault(key, [0.0, i, 0])
-            entry[0] = _compose(entry[0], p)
-            entry[2] += 1
-        else:
-            record_hyper.append((key, p, i, atoms))
-
+    for a, b, o, q in zip(*(x[first].tolist() for x in (d1, d2, masks)), prob.tolist()):
+        edges[(a,) if b < 0 else (a, b), o] = q
     known: dict[tuple, list[int]] = {}  # detectors -> masks, ascending
-    for dets, o in sorted(edges):
+    for dets, o in edges:
         known.setdefault(dets, []).append(o)
 
     def add(pieces, p):
         for piece in pieces:
             edges[piece] = _compose(edges.get(piece, 0.0), p)
 
-    for (dets, o), (p, i, n_terms) in pauli_hyper.items():
-        pieces = _split_in_two(dets, o, known)
+    dets, masks, instr, p = _stack(pauli_hyper)
+    first, size, prob = _fold(p, masks, *dets.T[::-1])
+    seen = np.argsort(first)
+    first = first[seen]
+    for row, o, i, n, q in zip(
+        dets[first].tolist(),
+        masks[first].tolist(),
+        instr[first].tolist(),
+        size[seen].tolist(),
+        prob[seen].tolist(),
+    ):
+        row = tuple(d for d in row if d >= 0)
+        pieces = _split_in_two(row, o, known)
         if pieces is None:
             raise GraphExtractionError(
-                f"instruction {i}: a mechanism flipping {len(dets)} detectors does "
+                f"instruction {i}: a mechanism flipping {len(row)} detectors does "
                 "not split into two known graph-like mechanisms"
             )
-        stats["step1_splits"] += n_terms
-        add(pieces, p)
-    for (dets, o), p, i, atoms in record_hyper:
-        pieces = _split_in_two(dets, o, known)
+        stats["step1_splits"] += n
+        add(pieces, q)
+    for row, o, q, i, before, after in zip(
+        *(np.concatenate(a).tolist() for a in zip(*record_hyper))
+    ):
+        row = tuple(d for d in row if d >= 0)
+        pieces = _split_in_two(row, o, known)
         if pieces is not None:
             stats["step1_splits"] += 1
         else:
+            atoms = (cols.sigs.row(before), cols.sigs.row(after))
             pieces = _split_record_flip(atoms, known)
             if pieces is None:
                 raise GraphExtractionError(
-                    f"instruction {i}: a measurement error flipping {len(dets)} "
+                    f"instruction {i}: a measurement error flipping {len(row)} "
                     "detectors does not split into at most two graph-like pieces"
                 )
             stats["step2_splits"] += 1
-        add(pieces, p)
+        add(pieces, q)
 
     keys = sorted(edges)
-    stats["edges"] = len(keys)
-    return DecodingGraph(
+    graph = DecodingGraph(
         n_detectors=circuit.n_detectors,
-        n_observables=circuit.n_observables,
+        n_observables=n_obs,
         det1=np.array([d[0] for d, _ in keys], dtype=np.int32),
         det2=np.array([d[1] if len(d) == 2 else -1 for d, _ in keys], dtype=np.int32),
         probability=np.array([edges[k] for k in keys], dtype=np.float64),
         obs_mask=np.array([o for _, o in keys], dtype=np.uint64),
         stats=stats,
     )
+    stats["edges"] = len(keys)
+    stats["obs_flip_terms"] = ((1 - keep) / 2).tolist()
+    graph_keep = _flip_probabilities(graph.probability, graph.obs_mask, n_obs)
+    stats["obs_flip_graph"] = ((1 - graph_keep) / 2).tolist()
+    return graph
 
 
 # ---------------------------------------------------------------------------

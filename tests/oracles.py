@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,6 +18,7 @@ from floqnet.circuit import (
     Reset,
     _entry,
 )
+from floqnet import sim
 from floqnet.sim import _CHUNK, _PCODE, ShotBatch, _annotation_rng, _sample_events
 
 _P1 = {
@@ -324,3 +326,166 @@ def reference_sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> Sh
         if n_obs:
             obs_out[lo:hi] = obs_acc[:, :n_obs] & 1
     return ShotBatch(shots=shots, seed=seed, detectors=det_out, observables=obs_out)
+
+
+def _bitset(dets) -> int:
+    return sum(1 << d for d in dets)
+
+
+def _members(bits: int) -> tuple[int, ...]:
+    """The set bits of a detector bitset, ascending."""
+    return tuple(d for d in range(bits.bit_length()) if bits >> d & 1)
+
+
+def _between(sigs, lo: int, hi: int) -> list[tuple[int, int]]:
+    """(detector bitset, observable mask) of signature items lo..hi-1."""
+    ptr = sigs.indptr
+    return [
+        (_bitset(sigs.dets[ptr[k] : ptr[k + 1]].tolist()), int(sigs.masks[k]))
+        for k in range(lo, hi)
+    ]
+
+
+def _reference_terms(ops, cols, rec_sigs):
+    """Every Pauli term and record flip, one at a time, in instruction order.
+
+    Yields (instruction, detector bitset, observable mask, p, atoms), where
+    atoms is the (before, after) column signature pair of a record flip and
+    None for a Pauli term.  A Pauli term is the XOR of its qubits' columns.
+    """
+    bounds = np.searchsorted(cols.slot, 2 * np.arange(len(ops) + 1)).tolist()
+    identity = (0, 0)
+    for i, op in enumerate(ops):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
+            continue
+        sigs = _between(cols.sigs, lo, hi)
+        if op[0] == sim._PAULI:
+            p, k = op[2], op[3].shape[1]
+            p_term = p / (4**k - 1)
+            for c in range(0, len(sigs), 2 * k):
+                # per qubit: I, X, Z, Y = XZ
+                cell = sigs[c : c + 2 * k]
+                sides = [
+                    (identity, x, z, (x[0] ^ z[0], x[1] ^ z[1]))
+                    for x, z in zip(cell[::2], cell[1::2])
+                ]
+                for paulis in itertools.islice(itertools.product(*sides), 1, None):
+                    d, o = paulis[0]
+                    for dd, oo in paulis[1:]:
+                        d, o = d ^ dd, o ^ oo
+                    yield i, d, o, p_term, None
+        else:
+            flip_p, rec, nprod = op[2], op[3], op[4]
+            for j, want in enumerate(_between(rec_sigs, rec, rec + nprod)):
+                before, after = sigs[j], sigs[nprod + j]
+                if (before[0] ^ after[0], before[1] ^ after[1]) != want:
+                    raise sim.GraphExtractionError(
+                        f"instruction {i}: the flip of record {rec + j} is not the "
+                        "XOR of a Pauli just before and just after its measurement"
+                    )
+                yield i, want[0], want[1], flip_p, (before, after)
+
+
+def reference_decoding_graph(circuit: CircuitProgram) -> sim.DecodingGraph:
+    """floqnet.sim.extract_decoding_graph, one term at a time.
+
+    Walks every term as a Python detector bitset and folds it into a dict
+    of edges, with the same splits (floqnet.sim._split_in_two and
+    _split_record_flip) and the same composition order, so the graph must
+    equal extract_decoding_graph's bit for bit.  The stats hold the same
+    counts; obs_flip_terms and obs_flip_graph are composed in another
+    order, so they agree only to rounding.
+    """
+    if circuit.n_observables > 64:
+        raise sim.GraphExtractionError("observable masks hold at most 64 observables")
+    ops, slices = sim._compiled(circuit)
+    cols = sim._atom_columns(circuit, ops, slices)
+    rec_sigs = sim._record_signatures(circuit, slices)
+
+    edges: dict[tuple, float] = {}  # (detectors, mask) -> p
+    pauli_hyper: dict[tuple, list] = {}  # (detectors, mask) -> [p, instruction, terms]
+    record_hyper: list[tuple] = []  # ((detectors, mask), p, instruction, atoms)
+    stats = dict.fromkeys(
+        ("terms", "graphlike_terms", "step1_splits", "step2_splits"), 0
+    )
+    keep = defaultdict(lambda: 1.0)  # observable -> prod(1 - 2p) over its terms
+    for i, d, o, p, atoms in _reference_terms(ops, cols, rec_sigs):
+        if not d:
+            if o:
+                raise sim.GraphExtractionError(
+                    f"instruction {i}: a mechanism flips an observable but 0 detectors"
+                )
+            continue
+        stats["terms"] += 1
+        for b in range(o.bit_length()):
+            if o >> b & 1:
+                keep[b] *= 1 - 2 * p
+        n_flipped = d.bit_count()
+        if n_flipped > 4:
+            raise sim.GraphExtractionError(
+                f"instruction {i}: a mechanism flips {n_flipped} detectors, "
+                "more than the 4 that can be split into graph-like pieces"
+            )
+        key = (_members(d), o)
+        if n_flipped <= 2:
+            stats["graphlike_terms"] += 1
+            edges[key] = sim._compose(edges.get(key, 0.0), p)
+        elif atoms is None:
+            entry = pauli_hyper.setdefault(key, [0.0, i, 0])
+            entry[0] = sim._compose(entry[0], p)
+            entry[2] += 1
+        else:
+            record_hyper.append((key, p, i, atoms))
+
+    known: dict[tuple, list[int]] = {}  # detectors -> masks, ascending
+    for dets, o in sorted(edges):
+        known.setdefault(dets, []).append(o)
+
+    def add(pieces, p):
+        for piece in pieces:
+            edges[piece] = sim._compose(edges.get(piece, 0.0), p)
+
+    for (dets, o), (p, i, n_terms) in pauli_hyper.items():
+        pieces = sim._split_in_two(dets, o, known)
+        if pieces is None:
+            raise sim.GraphExtractionError(
+                f"instruction {i}: a mechanism flipping {len(dets)} detectors does "
+                "not split into two known graph-like mechanisms"
+            )
+        stats["step1_splits"] += n_terms
+        add(pieces, p)
+    for (dets, o), p, i, atoms in record_hyper:
+        pieces = sim._split_in_two(dets, o, known)
+        if pieces is not None:
+            stats["step1_splits"] += 1
+        else:
+            atoms = [(_members(d), m) for d, m in atoms]
+            pieces = sim._split_record_flip(atoms, known)
+            if pieces is None:
+                raise sim.GraphExtractionError(
+                    f"instruction {i}: a measurement error flipping {len(dets)} "
+                    "detectors does not split into at most two graph-like pieces"
+                )
+            stats["step2_splits"] += 1
+        add(pieces, p)
+
+    keys = sorted(edges)
+    stats["edges"] = len(keys)
+    n_obs = circuit.n_observables
+    stats["obs_flip_terms"] = [(1 - keep[b]) / 2 for b in range(n_obs)]
+    graph_keep = [1.0] * n_obs
+    for (_, o), p in edges.items():
+        for b in range(n_obs):
+            if o >> b & 1:
+                graph_keep[b] *= 1 - 2 * p
+    stats["obs_flip_graph"] = [(1 - k) / 2 for k in graph_keep]
+    return sim.DecodingGraph(
+        n_detectors=circuit.n_detectors,
+        n_observables=n_obs,
+        det1=np.array([d[0] for d, _ in keys], dtype=np.int32),
+        det2=np.array([d[1] if len(d) == 2 else -1 for d, _ in keys], dtype=np.int32),
+        probability=np.array([edges[k] for k in keys], dtype=np.float64),
+        obs_mask=np.array([o for _, o in keys], dtype=np.uint64),
+        stats=stats,
+    )

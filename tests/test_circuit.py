@@ -177,6 +177,56 @@ def test_determinism_catches_corrupted_observable(hc):
     assert any(i == victim.index for i, _ in report.failing_observables)
 
 
+def _one_qubit_program(instructions, detectors=(), observables=()) -> CircuitProgram:
+    n_records = sum(len(i.products) for i in instructions if isinstance(i, MeasurePP))
+    return CircuitProgram(
+        name="hand",
+        n_qubits=1,
+        data_qubits=(0,),
+        bell_ancillas=(),
+        instructions=tuple(instructions),
+        detectors=tuple(detectors),
+        observables=tuple(observables),
+        n_records=n_records,
+    )
+
+
+def test_determinism_reads_a_twice_listed_record_once():
+    """X on |0> is random.  A detector that lists its record twice samples
+    that record's flips, so certification must fail it too, rather than
+    cancel the record away."""
+    program = _one_qubit_program(
+        [Reset((0,)), Depolarize1(0.3, (0,)), MeasurePP(0.0, (((0, "X"),),))],
+        detectors=[Detector((0, 0))],
+    )
+    report = validate_determinism(program)
+    assert not report.ok
+    assert [i for i, _ in report.failing_detectors] == [0]
+    assert sample_shots(program, 1, 1000).detectors.mean() > 0.1
+
+
+def test_determinism_merges_the_entries_of_one_observable_index():
+    """Records 0, 1 and 2 are the same random X outcome.  The entries
+    {0, 1} and {1, 2} of observable 0 are each deterministic, but the
+    sampler reads their union {0, 1, 2}, which is random; the failure is
+    reported once, by index."""
+    x0 = MeasurePP(0.0, (((0, "X"),),))
+    program = _one_qubit_program(
+        [Reset((0,)), x0, x0, x0],
+        observables=[Observable(0, (0, 1)), Observable(0, (1, 2))],
+    )
+    report = validate_determinism(program)
+    assert not report.ok and not report.failing_detectors
+    assert [i for i, _ in report.failing_observables] == [0]
+    deterministic = dataclasses.replace(
+        program, observables=(Observable(0, (0, 1)), Observable(1, (1, 2)))
+    )
+    assert validate_determinism(deterministic).ok
+    outside = dataclasses.replace(program, observables=(Observable(1, (0,)),))
+    with pytest.raises(CircuitError, match="observable index 1 outside"):
+        validate_determinism(outside)
+
+
 def test_rejects_bad_round_count(hc):
     for rounds in (0, 1.5, True):
         with pytest.raises(CircuitError):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from floqnet.circuit import (
     Reset,
     build_memory_circuit,
 )
-from floqnet.lattice import generate_honeycomb_torus
+from floqnet.lattice import fine_grain, generate_honeycomb_torus
 from floqnet.partition import partition_code
 from floqnet.sim import (
     DecodingGraph,
@@ -25,11 +26,15 @@ from floqnet.sim import (
     sample_shots,
 )
 
-from oracles import reference_atom_signatures
+from oracles import reference_atom_signatures, reference_decoding_graph
 
 
-def _compiled(L: int, n_qpu, noise: NoiseParams, rounds: int) -> CircuitProgram:
+def _compiled(
+    L: int, n_qpu, noise: NoiseParams, rounds: int, level: int = 1
+) -> CircuitProgram:
     lat = generate_honeycomb_torus(L, L)
+    if level > 1:
+        lat = fine_grain(lat, level)
     part = partition_code(lat, n_qpu) if n_qpu else None
     return build_memory_circuit(lat, part, noise, rounds)
 
@@ -50,11 +55,13 @@ SHOTS = 100_000
 
 @pytest.fixture(scope="module", params=[(6, None, 2), (9, 40, 3)], ids=["local6", "dist9"])
 def sampled(request):
-    """A circuit at NoiseParams(2e-3, 1e-2), its graph and 10^5 sampled shots."""
+    """A circuit at NoiseParams(2e-3, 1e-2), its graph and the detectors and
+    observables of 10^5 sampled shots."""
     L, n_qpu, rounds = request.param
     circuit = _compiled(L, n_qpu, NoiseParams(2e-3, 1e-2), rounds)
     graph = extract_decoding_graph(circuit)
-    return graph, sample_shots(circuit, 2024, SHOTS).detectors
+    batch = sample_shots(circuit, 2024, SHOTS)
+    return graph, batch.detectors, batch.observables
 
 
 def _outliers(pred: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -65,7 +72,7 @@ def _outliers(pred: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 @pytest.mark.slow
 def test_graph_marginals_match_sampled_shots(sampled):
-    graph, detectors = sampled
+    graph, detectors, _ = sampled
     counts = detectors.sum(axis=0, dtype=np.int64)
     outliers = _outliers(_marginals(graph), counts)
     assert outliers.size == 0, f"detectors {outliers.tolist()} lie beyond 5 sigma"
@@ -75,7 +82,7 @@ def test_graph_marginals_match_sampled_shots(sampled):
 def test_graph_edge_parities_match_sampled_shots(sampled):
     """For every two-detector edge (i, j), the rate of d_i != d_j: the graph
     predicts it from the edges that touch exactly one of i and j."""
-    graph, detectors = sampled
+    graph, detectors, _ = sampled
     two = graph.det2 >= 0
     ends = np.stack([graph.det1[two], graph.det2[two]], axis=1).astype(np.int64)
     pairs, which = np.unique(ends, axis=0, return_inverse=True)
@@ -96,17 +103,37 @@ def test_graph_edge_parities_match_sampled_shots(sampled):
     assert outliers.size == 0, f"pairs {pairs[outliers].tolist()} lie beyond 5 sigma"
 
 
+@pytest.mark.slow
+def test_term_observable_flips_match_sampled_shots(sampled):
+    """The terms' observable flip probabilities (graph.stats) match the
+    sampled rates.  The graph's own figure (obs_flip_graph) is recorded but
+    not checked: on local6 splits hand observable 1 to pieces whose term
+    does not flip it, and the graph predicts 0.405 against 0.315."""
+    graph, _, observables = sampled
+    counts = observables.sum(axis=0, dtype=np.int64)
+    outliers = _outliers(np.array(graph.stats["obs_flip_terms"]), counts)
+    assert outliers.size == 0, f"observables {outliers.tolist()} lie beyond 5 sigma"
+
+
 @pytest.fixture(scope="module", params=[(3, None), (6, 40)], ids=["local3", "dist6"])
 def circuit(request):
     L, n_qpu = request.param
     return _compiled(L, n_qpu, NoiseParams(3e-3, 2e-2), 1)
 
 
+def _rows(sigs) -> list[tuple[frozenset, int]]:
+    """(detector set, observable mask) of every signature item."""
+    return [
+        (frozenset(sigs.dets[a:b].tolist()), mask)
+        for a, b, mask in zip(sigs.indptr[:-1], sigs.indptr[1:], sigs.masks.tolist())
+    ]
+
+
 def _columns(circuit):
     ops, slices = sim._compiled(circuit)
     cols = sim._atom_columns(circuit, ops, slices)
     records = sim._record_signatures(circuit, slices)
-    return cols, cols.sigs.between(0, cols.slot.size), records
+    return cols, _rows(cols.sigs), _rows(records)
 
 
 def test_atom_columns_match_timeline_oracle(circuit):
@@ -123,8 +150,7 @@ def test_atom_columns_match_timeline_oracle(circuit):
             q, pcode = int(cols.row[c]) % n, 1 if cols.row[c] < n else 2
             # just after a measurement is the qubit's next timeline slot
             slot = cursor[q] + int(cols.slot[c]) % 2
-            dets, mask = sigs[c]
-            assert (frozenset(sim._members(dets)), mask) == want[q][slot][pcode], (i, c)
+            assert sigs[c] == want[q][slot][pcode], (i, c)
             checked += 1
         if isinstance(instr, Reset):
             touched = instr.targets
@@ -140,8 +166,7 @@ def test_atom_columns_match_timeline_oracle(circuit):
 
 
 def test_record_flip_is_xor_of_before_and_after_columns(circuit):
-    cols, sigs, rec_sigs = _columns(circuit)
-    records = rec_sigs.between(0, circuit.n_records)
+    cols, sigs, records = _columns(circuit)
     rec = 0
     n_checked = 0
     for i, instr in enumerate(circuit.instructions):
@@ -219,10 +244,10 @@ def test_programs_outside_the_model_raise(change, message):
         extract_decoding_graph(program)
 
 
-def test_measurement_error_splits_through_its_atoms():
+def _three_detector_record() -> CircuitProgram:
     """Record 0 lies in three detectors, and no known pair of mechanisms
-    covers them; its before and after atoms split it instead."""
-    program = CircuitProgram(
+    covers them."""
+    return CircuitProgram(
         name="three-detector-record",
         n_qubits=2,
         data_qubits=(0, 1),
@@ -238,11 +263,13 @@ def test_measurement_error_splits_through_its_atoms():
         observables=(),
         n_records=3,
     )
-    graph = extract_decoding_graph(program)
-    assert graph.stats == {
-        "terms": 5, "graphlike_terms": 4, "step1_splits": 0, "step2_splits": 1,
-        "edges": 3,
-    }
+
+
+def test_measurement_error_splits_through_its_atoms():
+    """Record 0's before and after atoms split its three detectors."""
+    graph = extract_decoding_graph(_three_detector_record())
+    counts = ("terms", "graphlike_terms", "step1_splits", "step2_splits", "edges")
+    assert [graph.stats[k] for k in counts] == [5, 4, 0, 1, 3]
     edges = dict(zip(zip(graph.det1.tolist(), graph.det2.tolist()), graph.probability))
     # known: Z or Y on qubit 0 flips records 0 and 1, so detectors {0, 2};
     # Z or Y on qubit 1 flips record 2, so detector {2}.  The record flip is
@@ -257,7 +284,7 @@ def test_record_split_drops_repeated_pieces_and_joins_shared_detectors():
     known = {(0, 1): [1], (2, 3): [0], (4,): [0]}
 
     def split(*atoms):
-        return sim._split_record_flip([(sim._bitset(d), m) for d, m in atoms], known)
+        return sim._split_record_flip(atoms, known)
 
     # {0, 1, 2, 3} splits into {0, 1} and {2, 3}; {2, 3} also comes after
     assert split(((0, 1, 2, 3), 1), ((2, 3), 0)) == [((0, 1), 1)]
@@ -305,3 +332,71 @@ def test_compiled_once_and_again_after_detectors_change():
     batch = sample_shots(circuit, 1, 10)
     assert circuit.kernel_cache is not cache
     assert batch.detectors.shape == (10, 1)
+
+
+_ORACLE_CIRCUITS = {
+    "local3": lambda: _compiled(3, None, NoiseParams(3e-3, 2e-2), 1),
+    "dist6": lambda: _compiled(6, 40, NoiseParams(3e-3, 2e-2), 1),
+    "fine3x3-2-dist20": lambda: _compiled(3, 20, NoiseParams(3e-3, 2e-2), 1, level=2),
+    "local6-r2": lambda: _compiled(6, None, NoiseParams(2e-3, 1e-2), 2),
+    "three-detector-record": _three_detector_record,
+}
+
+
+@pytest.mark.parametrize("make", _ORACLE_CIRCUITS.values(), ids=_ORACLE_CIRCUITS.keys())
+def test_graph_equals_per_term_oracle(make):
+    """The array pipeline gives the per-term fold's graph bit for bit: the
+    same edges, the same probabilities (exact, not close) and the same
+    counts."""
+    circuit = make()
+    graph = extract_decoding_graph(circuit)
+    want = reference_decoding_graph(circuit)
+    assert graph.stats["step2_splits"] > 0
+    for name in ("det1", "det2", "probability", "obs_mask"):
+        have, ref = getattr(graph, name), getattr(want, name)
+        assert have.dtype == ref.dtype and np.array_equal(have, ref), name
+    for key, value in want.stats.items():
+        if key.startswith("obs_flip"):
+            assert graph.stats[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+        else:
+            assert graph.stats[key] == value, key
+    assert graph.stats.keys() == want.stats.keys()
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        _program(0, (Observable(0, (0,)),)),
+        _program(5),
+        _program(3),
+        dataclasses.replace(
+            _program(1), observables=tuple(Observable(k, (0,)) for k in range(65))
+        ),
+        # record 0 flips only an observable, record 1 five detectors: the
+        # first fault in term order raises
+        CircuitProgram(
+            name="two-faults",
+            n_qubits=1,
+            data_qubits=(0,),
+            bell_ancillas=(),
+            instructions=(
+                Reset((0,)),
+                MeasurePP(0.01, (((0, "Z"),),)),
+                MeasurePP(0.01, (((0, "Z"),),)),
+            ),
+            detectors=tuple(Detector((1,)) for _ in range(5)),
+            observables=(Observable(0, (0,)),),
+            n_records=2,
+        ),
+    ],
+    ids=["observable-only", "five-detectors", "unsplittable", "65-observables",
+         "two-faults"],
+)
+def test_errors_equal_per_term_oracle(program):
+    with pytest.raises(GraphExtractionError) as want:
+        reference_decoding_graph(program)
+    message = re.escape(str(want.value))
+    with pytest.raises(GraphExtractionError, match=f"^{message}$"):
+        extract_decoding_graph(program)
+    if program.name == "two-faults":
+        assert str(want.value).startswith("instruction 1: ")
