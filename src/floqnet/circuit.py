@@ -84,7 +84,7 @@ class NoiseParams:
 # ---------------------------------------------------------------------------
 # instructions
 
-_CODE = {"X": 1, "Z": 2, "Y": 3}
+_CODE = {"X": 1, "Z": 2, "Y": 3}  # bit0 = X component, bit1 = Z component
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 Clusters must satisfy (3/2)·|V_i| < n_qpu so that every data qubit fits on
 its processor with headroom for check ancillas.  Edges inside a cluster are
-local checks E_i; everything else is the non-local check set E'.
+local checks E_i; everything else is the non-local check set E'.  A
+non-local check of colour c holds one Bell half on each end's processor
+through the sub-rounds of colour c, so each cluster's data qubits plus its
+Bell halves of any one colour must also fit in n_qpu.
 
 Each bisection splits a cluster at the median of a Fiedler vector: one dense
 ``np.linalg.eigh`` of the cluster's Laplacian, then the projection of a seeded
@@ -106,27 +109,60 @@ def _spectral_bisect(adj: sp.csr_matrix, seed: int = 0) -> tuple[list[int], list
     return sorted(order[: n // 2]), sorted(order[n // 2 :])
 
 
-def partition_code(lattice: Lattice, n_qpu: int, seed: int = 0) -> Partition:
-    """Recursive spectral bisection until (3/2)|V_i| < n_qpu everywhere.
+def _edge_arrays(lattice: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges' endpoints u and v and their colours (-1 for none), as
+    int64 arrays."""
+    uvc = [(e.u, e.v, -1 if e.color is None else e.color) for e in lattice.edges]
+    return tuple(np.asarray(uvc, dtype=np.int64).reshape(-1, 3).T)
 
-    Each cluster that is too large is split at the median of its Fiedler
-    vector (see the module docstring), and each half is split again into its
-    connected components.  ``seed`` picks the direction of that vector inside
-    a degenerate λ₂ eigenspace and changes nothing otherwise.  Every
-    bisection solves a dense eigenproblem of the cluster's size, so memory
-    grows as n² in the lattice's vertex count.
+
+def _qubits_per_colour(edges, cluster: np.ndarray, nonlocal_edges) -> np.ndarray:
+    """(clusters, 3): the qubits that cluster i holds in a sub-round of colour
+    c, its data qubits plus one Bell half per end on it of a non-local edge
+    of colour c, or of no colour yet.  edges is _edge_arrays' output,
+    cluster[v] v's cluster."""
+    u, v, colour = edges
+    e = np.asarray(nonlocal_edges, dtype=np.int64)
+    n_clusters = int(cluster.max()) + 1
+    counts = np.zeros((n_clusters, 4), dtype=np.int64)  # colour -1 in column 3
+    np.add.at(counts, (np.r_[cluster[u[e]], cluster[v[e]]], np.tile(colour[e], 2)), 1)
+    data = np.bincount(cluster, minlength=n_clusters)[:, None]
+    return counts[:, :3] + counts[:, 3:] + data
+
+
+def partition_code(lattice: Lattice, n_qpu: int, seed: int = 0) -> Partition:
+    """Recursive spectral bisection until every cluster fits its processor.
+
+    A cluster fits when (3/2)|V_i| < n_qpu and its data qubits plus its
+    Bell halves of each colour number at most n_qpu (see
+    _qubits_per_colour).  Each cluster that does not fit is split at the
+    median of its Fiedler vector (see the module docstring), and each half
+    is split again into its connected components.  ``seed`` picks the
+    direction of that vector inside a degenerate λ₂ eigenspace and changes
+    nothing otherwise.  Every bisection solves a dense eigenproblem of the
+    cluster's size, so memory grows as n² in the lattice's vertex count.
     """
     _require_int(n_qpu, PartitionError, f"n_qpu must be an integer, not {n_qpu!r}")
     if n_qpu < 5:
         raise PartitionError("n_qpu must be at least 5")
     all_edges = [(e.u, e.v) for e in lattice.edges]
     adj = _adjacency(lattice.n_vertices, all_edges)
+    edges = _edge_arrays(lattice)
+
+    def fits(idx: np.ndarray) -> bool:
+        side = np.ones(lattice.n_vertices, dtype=np.int64)  # idx is cluster 0
+        side[idx] = 0
+        cut = np.flatnonzero(side[edges[0]] != side[edges[1]])
+        return (
+            3 * len(idx) < 2 * n_qpu
+            and _qubits_per_colour(edges, side, cut)[0].max() <= n_qpu
+        )
 
     done: list[np.ndarray] = []
     work = _components(adj, np.arange(lattice.n_vertices))
     while work:
         idx = work.pop()
-        if 3 * len(idx) < 2 * n_qpu:
+        if fits(idx):
             done.append(idx)
             continue
         for half in _spectral_bisect(adj[idx][:, idx], seed=seed):
@@ -158,6 +194,9 @@ def partition_code(lattice: Lattice, n_qpu: int, seed: int = 0) -> Partition:
 
 
 def validate_partition(lattice: Lattice, part: Partition) -> None:
+    """Raise PartitionError unless the clusters are disjoint, cover the
+    vertices, hold only internal edges, leave exactly the non-local edges
+    and fit their processors (see partition_code)."""
     seen: set[int] = set()
     total = 0
     for verts, eids in part.clusters:
@@ -179,10 +218,21 @@ def validate_partition(lattice: Lattice, part: Partition) -> None:
     complement = set(range(len(lattice.edges))) - local_all
     if complement != set(part.nonlocal_edges):
         raise PartitionError("nonlocal edge set is not the complement of local edges")
+    counts = _qubits_per_colour(
+        _edge_arrays(lattice), part.cluster_of(lattice.n_vertices), part.nonlocal_edges
+    )
+    over = np.argwhere(counts > part.n_qpu)
+    if over.size:
+        i, c = over[0].tolist()
+        raise PartitionError(
+            f"cluster {i} holds {counts[i, c]} qubits in colour-{c} sub-rounds "
+            f"(data qubits and Bell halves), more than n_qpu = {part.n_qpu}"
+        )
 
 
 def partition_stats(lattice: Lattice, part: Partition) -> dict:
-    """Cluster census: sizes, non-local degrees and the planarity proxy."""
+    """Cluster census: sizes, non-local degrees, the most qubits each
+    cluster holds in one sub-round and the planarity proxy."""
     validate_partition(lattice, part)
     sizes = sorted(len(v) for v, _ in part.clusters)
     hist: dict[int, int] = {}
@@ -206,6 +256,9 @@ def partition_stats(lattice: Lattice, part: Partition) -> dict:
         "max_cluster_size": max(sizes),
         "n_nonlocal_edges": len(part.nonlocal_edges),
         "nonlocal_degree_per_cluster": nl_degree,
+        "peak_qubits_per_cluster": _qubits_per_colour(
+            _edge_arrays(lattice), cluster_idx, part.nonlocal_edges
+        ).max(axis=1).tolist(),
         "planarity_proxy_ok": all(planar_proxy),
         "planarity_proxy_per_cluster": planar_proxy,
     }

@@ -7,58 +7,50 @@ from counter-based Philox streams keyed on (seed, noise-annotation index,
 shot chunk), making batches bitwise reproducible for a fixed (circuit,
 seed, shots).
 
-The sampler is bit-packed, as in stim (Gidney, arXiv:2103.02202).  The
-instruction list is compiled once into flat index arrays, which the program
-keeps for later calls, and the shots are worked through in chunks of
-_CHUNK.  A chunk keeps 64 shots per uint64 word: a (2 * n_qubits, words)
-frame array, X components in rows 0..n-1 and Z components in rows
-n..2n-1, and an (n_records, words) array of record flips.  Resets clear
-frame rows; noise events XOR single bits into them; a measured product's
-flip is the XOR of the frame rows it anticommutes with.  Detector and
-observable parities are XORs of record rows, taken once at the end of the
-chunk in slices of bounded size, then unpacked into one uint8 per shot.
-The output equals, bit for bit, that of the unpacked loop kept as the
-reference in the test suite: the same streams are drawn in the same order,
-and each event maps to the same (shot, target).  A record that a detector
-or observable lists twice counts once.
+One kernel, _propagate, moves the frames, bit-packed as in stim (Gidney,
+arXiv:2103.02202).  The instruction list is compiled once into flat index
+arrays, which the program keeps, and up to _CHUNK columns, 64 per uint64
+word, run through one packed state: X components of the n qubits in rows
+0..n-1, Z components in rows n..2n-1, then one row per record flip.  Resets
+clear frame rows, a measured product's flip is the XOR of the frame rows
+it anticommutes with, and the caller's injections XOR single bits in just
+before or just after an op.  Detector and observable parities are XORs of
+record rows (a record listed twice counts once), taken at the end in
+slices of bounded size.  The three callers differ only in their columns
+and injections.  The sampler's columns are shots and its injections the
+noise events, drawn from the same streams in the same order as the
+unpacked reference loop in the test suite, whose output it equals bit for
+bit.  Graph extraction's columns are atoms: an X and a Z per qubit of every
+noisy depolarising cell, and, for every product with a noisy outcome, a
+Pauli on its first qubit that anticommutes with it there, just before and
+just after the measurement.  Determinism certification's columns are
+stabiliser gauges (see _random_parities): a parity of records is
+deterministic in the noiseless circuit exactly when no gauge flips it.
 
-Graph extraction builds the detector error model from the same compiled
-ops, run over atom columns in place of shots.  Each column of the packed
-frame holds one deterministic single-qubit Pauli: an X and a Z per qubit of
-every noisy depolarising cell, and, for every product with a noisy outcome,
-a Pauli on its first qubit that anticommutes with it there, injected just
-before and just after the measurement.  A column's detector and observable
-bits are read through the sampler's parity slices, and kept as a CSR of
-detectors with one observable mask per column.  Columns on one frame row
-between the same two ops that read or clear it share their bits, so one
-column per such stretch is run.  A Pauli term of a depolarising channel is
-the XOR of its qubits' columns; a record flip is its record's detectors and
-observables, checked against the XOR of its before and after columns.  The
-terms are never Python objects: batches of whole instructions expand every
-term's columns through the CSR and keep the detectors that an odd number of
-them flip, and terms with equal detectors and mask are folded with
-np.lexsort and one vectorised composition per occurrence rank, in term
-order, so the graph does not depend on the batching.  Terms that flip three
-or four detectors are split, in the style of stim, into two disjoint
-graph-like mechanisms that the circuit already has; a record flip that does
-not split so is split through its before and after atoms.  Only these
-splits run in Python, once per distinct Pauli hyperedge and once per
-record flip with three or four detectors.  Anything else raises
-GraphExtractionError (see extract_decoding_graph).
-
-Determinism certification runs the same ops over stabiliser gauge columns
-(see _random_parities), on the record sets that sampling reads: a parity
-of records is deterministic in the noiseless circuit exactly when no gauge
-flips it.
+Graph extraction keeps the atoms' detectors as a CSR with one observable
+mask per column.  Columns on one frame row between the same two ops that
+read or clear it share their bits, so one column per such stretch is run.
+A Pauli term of a depolarising channel is the XOR of its qubits' columns;
+a record flip is its record's detectors and observables, checked against
+the XOR of its before and after columns.  The terms are never Python
+objects: batches of whole instructions expand every term's columns
+through the CSR and keep the detectors that an odd number of them flip,
+and terms with equal detectors and mask are folded with np.lexsort and
+one vectorised composition per occurrence rank, in term order, so the
+graph does not depend on the batching.  Terms that flip three or four
+detectors are split, in the style of stim, into two disjoint graph-like
+mechanisms that the circuit already has; a record flip that does not
+split so is split through its before and after atoms.  Only these splits
+run in Python, once per distinct Pauli hyperedge and once per record flip
+with three or four detectors.  Anything else raises GraphExtractionError
+(see extract_decoding_graph).
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +63,7 @@ from floqnet.circuit import (
     Depolarize2,
     MeasurePP,
     Reset,
+    _CODE,
 )
 from floqnet.lattice import _require_int
 
@@ -80,18 +73,13 @@ __all__ = [
     "GraphExtractionError",
     "sample_shots",
     "extract_decoding_graph",
-    "save_shot_batch",
-    "load_shot_batch",
 ]
 
 _CHUNK = 4096
 _DENSE_P = 0.05
-_SLICE_ROWS = 4096  # record rows gathered at once for detector parities
+_SLICE_ROWS = 2048  # record rows gathered at once for detector parities
 _WORD = np.dtype("<u8")  # 64 shots per word, shot 64i + j at bit j of word i
 _CLEAR, _PAULI, _MEASURE = range(3)
-
-# pauli codes: bit0 = X component, bit1 = Z component
-_PCODE = {"X": 1, "Z": 2, "Y": 3}
 
 
 class GraphExtractionError(RuntimeError):
@@ -244,7 +232,7 @@ def _compile_ops(circuit: CircuitProgram) -> list[tuple]:
             for prod in instr.products:
                 row = []
                 for q, p in prod:
-                    code = _PCODE[p]
+                    code = _CODE[p]
                     if code & 2:  # Z component anticommutes with X frame
                         row.append(q)
                     if code & 1:  # X component anticommutes with Z frame
@@ -301,15 +289,53 @@ def _flip(words: np.ndarray, rows: np.ndarray, shots: np.ndarray) -> None:
     np.bitwise_xor.at(flat, idx, np.uint64(1) << (shots & 63).astype(np.uint64))
 
 
+def _propagate(circuit: CircuitProgram, ops, slices, width: int, slot, row, col):
+    """The one walk over the compiled ops: run width columns (shots or
+    deterministic Paulis, 64 per word) through one packed state.
+
+    Rows 0..2n-1 of the state are the frame, row 2n + r the flip of record
+    r.  Injection k XORs a one into row row[k] of column col[k] at slot[k],
+    ascending, where slot 2i is just before op i and slot 2i + 1 just after
+    it; the walk starts at the earliest slot.  Returns the packed parity
+    bits: bit j of word w of row p is set when column 64w + j flips parity p
+    of slices.
+    """
+    n2 = 2 * circuit.n_qubits
+    n_words = -(-width // 64)
+    state = np.zeros((n2 + circuit.n_records, n_words), dtype=_WORD)
+    bounds = np.searchsorted(slot, np.arange(2 * len(ops) + 1)).tolist()
+
+    def inject(t: int) -> None:
+        a, b = bounds[t], bounds[t + 1]
+        if a < b:
+            _flip(state, row[a:b], col[a:b])
+
+    for i in range(int(slot[0]) // 2 if slot.size else len(ops), len(ops)):
+        op = ops[i]
+        inject(2 * i)
+        if op[0] == _CLEAR:
+            state[op[1]] = 0
+        elif op[0] == _MEASURE:
+            rec, nprod, flat, starts, sizes = op[3:]
+            state[n2 + rec : n2 + rec + nprod] = _xor_rows(state, flat, starts, sizes)
+        inject(2 * i + 1)
+    bits = np.empty((slices[-1][1] if slices else 0, n_words), dtype=_WORD)
+    for a, b, flat, starts, sizes in slices:
+        bits[a:b] = _xor_rows(state[n2:], flat, starts, sizes)
+    return bits
+
+
 def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
     """Sample detector and observable frame bits under the annotated noise.
 
-    Deterministic for fixed (circuit, seed, shots); all-zero output for a
-    noiseless circuit.  Raises ValueError unless shots is an integer >= 1
-    and seed an integer (numpy integers are accepted, bools are not), and
-    CircuitError when a detector or observable references a missing record,
-    an observable index is out of range or an instruction targets a qubit
-    the circuit does not have.
+    Each chunk's noise events become _propagate injections: Pauli events
+    into frame rows just before their op, outcome flips into record rows
+    just after their measurement.  Deterministic for fixed (circuit, seed,
+    shots); all-zero output for a noiseless circuit.  Raises ValueError
+    unless shots is an integer >= 1 and seed an integer (numpy integers are
+    accepted, bools are not), and CircuitError when a detector or
+    observable references a missing record, an observable index is out of
+    range or an instruction targets a qubit the circuit does not have.
     """
     for name, value in (("shots", shots), ("seed", seed)):
         _require_int(value, ValueError, f"{name} must be an integer, not {value!r}")
@@ -326,22 +352,15 @@ def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
 
     for chunk_idx, lo in enumerate(range(0, shots, _CHUNK)):
         w = min(_CHUNK, shots - lo)
-        n_words = -(-w // 64)
-        frame = np.zeros((2 * n, n_words), dtype=_WORD)
-        flips = np.zeros((circuit.n_records, n_words), dtype=_WORD)
-        for op in ops:
-            kind = op[0]
-            if kind == _CLEAR:
-                frame[op[1]] = 0
-            elif kind == _PAULI:
+        # int32 injections: a chunk's 10^5 of them stay alive through the
+        # parity stage of _propagate, where the sampler's memory peaks
+        slots, rows, cols = [], [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+        for i, op in enumerate(ops):
+            if op[0] == _PAULI and op[2] > 0 and op[3].size:
                 _, ann, p, cells = op
-                if p <= 0 or not cells.size:
-                    continue
                 n_cells, k = cells.shape
                 rng = _annotation_rng(seed, ann, chunk_idx)
                 pos, types = _sample_events(rng, w * n_cells, p, 4**k - 1)
-                if not pos.size:
-                    continue
                 shot = np.tile(pos // n_cells, k)
                 qubit = cells[pos % n_cells].T.reshape(-1)
                 # types + 1 holds one 2-bit Pauli per qubit, the first qubit
@@ -350,30 +369,26 @@ def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
                 pauli = (((types + 1) >> shifts) & 3).reshape(-1)
                 x = (pauli & 1).astype(bool)
                 z = (pauli & 2).astype(bool)
-                _flip(
-                    frame,
-                    np.concatenate([qubit[x], qubit[z] + n]),
-                    np.concatenate([shot[x], shot[z]]),
-                )
-            else:
-                _, ann, flip_p, rec, nprod, flat, starts, sizes = op
-                flips[rec : rec + nprod] = _xor_rows(frame, flat, starts, sizes)
-                if flip_p <= 0 or not nprod:
-                    continue
+                rows.append(np.concatenate([qubit[x], qubit[z] + n], dtype=np.int32))
+                cols.append(np.concatenate([shot[x], shot[z]], dtype=np.int32))
+                slots.append(2 * i)
+            elif op[0] == _MEASURE and op[2] > 0 and op[4]:
+                _, ann, flip_p, rec, nprod = op[:5]
                 rng = _annotation_rng(seed, ann, chunk_idx)
-                pos, _ = _sample_events(rng, w * nprod, flip_p, 1)
-                if pos.size:
-                    _flip(flips, rec + pos % nprod, pos // nprod)
-        bits = np.empty((n_det + n_obs, n_words), dtype=_WORD)
-        for a, b, flat, starts, sizes in slices:
-            bits[a:b] = _xor_rows(flips, flat, starts, sizes)
+                pos = _sample_events(rng, w * nprod, flip_p, 1)[0].astype(np.int32)
+                rows.append(2 * n + rec + pos % nprod)
+                cols.append(pos // nprod)
+                slots.append(2 * i + 1)
+        slot = np.repeat(np.asarray(slots, dtype=np.int32), [r.size for r in rows[1:]])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        bits = _propagate(circuit, ops, slices, w, slot, rows, cols)
         # little-endian words: bit j of byte i is shot 8i + j, so row i of
         # the transposed bytes unpacks into output rows 8i + j, j = 0..7
         by = np.ascontiguousarray(bits.view(np.uint8).T)
-        for out, cols in ((det_out, by[:, :n_det]), (obs_out, by[:, n_det:])):
+        for out, part in ((det_out, by[:, :n_det]), (obs_out, by[:, n_det:])):
             for j in range(8):
                 dst = out[lo + j : lo + w : 8]
-                np.bitwise_and(cols[: len(dst)] >> j, 1, out=dst)
+                np.bitwise_and(part[: len(dst)] >> j, 1, out=dst)
     return ShotBatch(shots=shots, seed=seed, detectors=det_out, observables=obs_out)
 
 
@@ -429,7 +444,7 @@ class _Signatures(NamedTuple):
     @classmethod
     def from_pairs(cls, n: int, item, par, n_det: int) -> "_Signatures":
         """From (item, parity row) pairs sorted by item, then row; parity rows
-        n_det and up are observables, as in the sampler's parity slices."""
+        n_det and up are observables, as in the parity slices."""
         is_det = par < n_det
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(item[is_det], minlength=n), out=indptr[1:])
@@ -471,47 +486,17 @@ def _record_signatures(circuit: CircuitProgram, slices) -> _Signatures:
 
 
 def _run_columns(circuit: CircuitProgram, ops, slot, row, col, slices):
-    """Run the sampler's ops over columns in place of shots, _CHUNK at a time.
-
-    Injection k XORs a Pauli component into frame row row[k] of column
-    col[k] at slot[k], where slot 2i is just before instruction i and slot
-    2i + 1 just after it; the injections are sorted by column.  No random
-    event is drawn, and a chunk of columns starts at its earliest slot.
-    Yields, per chunk, its first column and its packed parity bits: bit j
-    of word w of row p is set when column lo + 64w + j flips parity p of
-    slices.
-    """
-    n = circuit.n_qubits
-    n_par = slices[-1][1] if slices else 0
+    """_propagate over columns, _CHUNK at a time, with no random event:
+    column col[k] gets a one in frame row row[k] at slot[k], the injections
+    sorted by column.  Yields each chunk's first column and parity bits."""
     n_cols = int(col[-1]) + 1 if col.size else 0
     for lo in range(0, n_cols, _CHUNK):
         hi = min(lo + _CHUNK, n_cols)
         first, end = np.searchsorted(col, (lo, hi)).tolist()
         order = first + np.argsort(slot[first:end], kind="stable")
-        s, r, c = slot[order], row[order], col[order] - lo
-        bounds = np.searchsorted(s, np.arange(2 * len(ops) + 1)).tolist()
-        n_words = -(-(hi - lo) // 64)
-        frame = np.zeros((2 * n, n_words), dtype=_WORD)
-        flips = np.zeros((circuit.n_records, n_words), dtype=_WORD)
-
-        def inject(t: int) -> None:
-            a, b = bounds[t], bounds[t + 1]
-            if a < b:
-                _flip(frame, r[a:b], c[a:b])
-
-        for i in range(int(s[0]) // 2, len(ops)):
-            op = ops[i]
-            inject(2 * i)
-            if op[0] == _CLEAR:
-                frame[op[1]] = 0
-            elif op[0] == _MEASURE:
-                rec, nprod, flat, starts, sizes = op[3:]
-                flips[rec : rec + nprod] = _xor_rows(frame, flat, starts, sizes)
-            inject(2 * i + 1)
-        bits = np.empty((n_par, n_words), dtype=_WORD)
-        for a, b, flat, starts, sizes in slices:
-            bits[a:b] = _xor_rows(flips, flat, starts, sizes)
-        yield lo, bits
+        yield lo, _propagate(
+            circuit, ops, slices, hi - lo, slot[order], row[order], col[order] - lo
+        )
 
 
 def _row_stretches(ops, slot: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -534,7 +519,7 @@ def _row_stretches(ops, slot: np.ndarray, row: np.ndarray) -> np.ndarray:
 
 
 def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
-    """Run the sampler's ops over atom columns (see _run_columns).
+    """Run the compiled ops over atom columns (see _propagate).
 
     Each noise cell of a Depolarize1 or Depolarize2 with p > 0 gets an X and
     a Z column per qubit, in cell order, just before the instruction.  Each
@@ -619,7 +604,7 @@ def _gauge_columns(circuit: CircuitProgram) -> tuple[np.ndarray, ...]:
         elif isinstance(instr, MeasurePP):
             # bit0 of a Pauli code is its X component (row q), bit1 its Z (row q + n)
             new = [
-                [q + n * z for q, p in prod for z in (0, 1) if _PCODE[p] >> z & 1]
+                [q + n * z for q, p in prod for z in (0, 1) if _CODE[p] >> z & 1]
                 for prod in instr.products
                 if prod
             ]
@@ -845,10 +830,10 @@ def _split_record_flip(atoms, known: dict):
 def extract_decoding_graph(circuit: CircuitProgram) -> DecodingGraph:
     """The decoding graph of the circuit's detector error model.
 
-    Fault signatures come from the sampler's compiled ops, run over atom
-    columns (see _atom_columns).  Each Pauli term of a Depolarize1 (X, Y, Z;
-    p/3 each) or Depolarize2 (15 terms, p/15 each) is the XOR of its
-    qubits' atom columns.  A record flip (flip_p) flips its record's
+    Fault signatures come from the compiled ops, run over atom columns
+    (see _atom_columns).  Each Pauli term of a Depolarize1 (X, Y, Z; p/3
+    each) or Depolarize2 (15 terms, p/15 each) is the XOR of its qubits'
+    atom columns.  A record flip (flip_p) flips its record's
     detectors and observables, which must equal the XOR of its before and
     after columns.  Terms with the same detectors and observable mask are
     composed as independent events.
@@ -1009,62 +994,3 @@ def extract_decoding_graph(circuit: CircuitProgram) -> DecodingGraph:
     graph_keep = _flip_probabilities(graph.probability, graph.obs_mask, n_obs)
     stats["obs_flip_graph"] = ((1 - graph_keep) / 2).tolist()
     return graph
-
-
-# ---------------------------------------------------------------------------
-# batch export
-
-
-def save_shot_batch(batch: ShotBatch, path: str | Path) -> None:
-    """Packed bit rows (detectors then observables) with a JSON-lines header."""
-    path = Path(path)
-    header = {
-        "shots": batch.shots,
-        "seed": batch.seed,
-        "n_detectors": int(batch.detectors.shape[1]),
-        "n_observables": int(batch.observables.shape[1]),
-        "bit_order": "detectors,observables",
-    }
-    rows = np.concatenate([batch.detectors, batch.observables], axis=1)
-    packed = np.packbits(rows, axis=1)
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(packed.tobytes())
-
-
-def load_shot_batch(path: str | Path) -> ShotBatch:
-    """Read a batch written by save_shot_batch.
-
-    Raises ValueError, naming the file, when the header is not an object
-    with a seed and non-negative integer counts, or when the payload length
-    disagrees with the header.
-    """
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = fh.read()
-    counts = ("shots", "n_detectors", "n_observables")
-    if not (
-        isinstance(header, dict)
-        and "seed" in header
-        and all(type(header.get(k)) is int and header[k] >= 0 for k in counts)
-    ):
-        raise ValueError(
-            f"{path}: header is not a JSON object with a seed and "
-            f"non-negative integers {', '.join(counts)}"
-        )
-    n_bits = header["n_detectors"] + header["n_observables"]
-    row_bytes = (n_bits + 7) // 8
-    expected = header["shots"] * row_bytes
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path}: header promises {expected} payload bytes "
-            f"({header['shots']} shots x {row_bytes} bytes), file holds {len(raw)}"
-        )
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(header["shots"], row_bytes)
-    rows = np.unpackbits(packed, axis=1)[:, :n_bits]
-    return ShotBatch(
-        shots=header["shots"],
-        seed=header["seed"],
-        detectors=rows[:, : header["n_detectors"]].copy(),
-        observables=rows[:, header["n_detectors"] :].copy(),
-    )

@@ -16,10 +16,11 @@ from floqnet.circuit import (
     Depolarize2,
     MeasurePP,
     Reset,
+    _CODE,
     _entry,
 )
 from floqnet import sim
-from floqnet.sim import _CHUNK, _PCODE, ShotBatch, _annotation_rng, _sample_events
+from floqnet.sim import _CHUNK, ShotBatch, _annotation_rng, _sample_events
 
 _P1 = {
     "I": np.eye(2, dtype=complex),
@@ -148,7 +149,7 @@ def _qubit_timelines(circuit: CircuitProgram):
         elif isinstance(instr, MeasurePP):
             for prod in instr.products:
                 for q, p in prod:
-                    timelines[q].append(("meas", rec, _PCODE[p]))
+                    timelines[q].append(("meas", rec, _CODE[p]))
                 rec += 1
     return timelines
 
@@ -305,7 +306,7 @@ def reference_sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> Sh
                 for j, prod in enumerate(instr.products):
                     acc = np.zeros(w, dtype=np.uint8)
                     for q, p in prod:
-                        code = _PCODE[p]
+                        code = _CODE[p]
                         if code & 2:  # Z component anticommutes with X frame
                             acc ^= fx[:, q]
                         if code & 1:  # X component anticommutes with Z frame

@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from floqnet.lattice import generate_honeycomb_torus
+from floqnet.lattice import Edge, generate_honeycomb_torus
 from floqnet.partition import (
+    Partition,
     PartitionError,
     _adjacency,
     _fiedler_vector,
@@ -167,6 +169,46 @@ def test_partition_12x12_smallest_processors():
     stats = partition_stats(lat, partition_code(lat, 16))
     assert stats["max_cluster_size"] <= 10
     assert sum(stats["cluster_sizes"]) == lat.n_vertices
+
+
+def test_partition_9x9_smallest_processors_hold_their_bell_halves():
+    lat = generate_honeycomb_torus(9, 9)
+    part = partition_code(lat, 16)
+    cut = [lat.edges[e] for e in part.nonlocal_edges]
+    peak = [
+        len(verts)
+        + max(sum((e.u in verts) + (e.v in verts) for e in cut if e.color == c)
+              for c in range(3))
+        for verts, _ in part.clusters
+    ]
+    assert partition_stats(lat, part)["peak_qubits_per_cluster"] == peak
+    assert max(peak) <= 16
+
+
+def test_uncoloured_edges_count_their_bell_halves_in_every_colour():
+    lat = generate_honeycomb_torus(6, 6)
+    bare = dataclasses.replace(lat, edges=tuple(Edge(e.u, e.v) for e in lat.edges))
+    part = partition_code(bare, 16)
+    cut = [bare.edges[e] for e in part.nonlocal_edges]
+    every = [len(v) + sum((e.u in v) + (e.v in v) for e in cut) for v, _ in part.clusters]
+    assert partition_stats(bare, part)["peak_qubits_per_cluster"] == every
+    assert max(every) <= 16
+
+
+def test_over_full_processor_names_cluster_colour_and_count():
+    # one end of every colour-0 edge: 9 data qubits and 9 colour-0 Bell halves
+    lat = generate_honeycomb_torus(3, 3)
+    side = frozenset(e.u for e in lat.edges if e.color == 0)
+    clusters = (side, frozenset(range(lat.n_vertices)) - side)
+    local = [
+        tuple(i for i, e in enumerate(lat.edges) if e.u in c and e.v in c)
+        for c in clusters
+    ]
+    nonlocal_edges = tuple(sorted(set(range(len(lat.edges))) - {*local[0], *local[1]}))
+    part = Partition(tuple(zip(clusters, local)), nonlocal_edges, n_qpu=17)
+    with pytest.raises(PartitionError, match="cluster 0 holds 18 qubits in colour-0"):
+        validate_partition(lat, part)
+    validate_partition(lat, Partition(part.clusters, nonlocal_edges, n_qpu=18))
 
 
 @pytest.mark.parametrize("n_qpu", [40.5, "40", True, None])

@@ -16,10 +16,11 @@ from floqnet.circuit import (
     Observable,
     Reset,
     build_memory_circuit,
+    validate_determinism,
 )
 from floqnet.lattice import generate_honeycomb_torus
 from floqnet.partition import partition_code
-from floqnet.sim import ShotBatch, load_shot_batch, sample_shots, save_shot_batch
+from floqnet.sim import ShotBatch, sample_shots
 
 from oracles import reference_sample_shots
 
@@ -119,6 +120,44 @@ def test_matches_reference_on_hand_built_program(seed):
     assert batch.observables[:, 0].any()
 
 
+def test_noisy_product_of_no_qubit_matches_reference():
+    """A product with no qubit still draws its outcome flips, across a chunk
+    boundary, and the records after it keep their places."""
+    circuit = CircuitProgram(
+        name="empty-product",
+        n_qubits=1,
+        data_qubits=(0,),
+        bell_ancillas=(),
+        instructions=(
+            Reset((0,)),
+            MeasurePP(0.2, ((),)),
+            Depolarize1(0.1, (0,)),
+            MeasurePP(0.2, (((0, "Z"),), (), ((0, "X"),))),
+        ),
+        detectors=(Detector((0,)), Detector((1, 2)), Detector((2, 3))),
+        observables=(Observable(0, (0, 3)),),
+        n_records=4,
+    )
+    for seed in SEEDS:
+        batch = sample_shots(circuit, seed, sim._CHUNK + 100)
+        _assert_same(batch, reference_sample_shots(circuit, seed, sim._CHUNK + 100))
+    assert batch.detectors[sim._CHUNK :].any(axis=0).all()
+
+
+def test_sampling_extraction_and_certification_walk_one_kernel(monkeypatch, local3):
+    calls = []
+    kernel = sim._propagate
+    monkeypatch.setattr(sim, "_propagate", lambda *a: calls.append(1) or kernel(*a))
+    sample_shots(local3, 0, sim._CHUNK + 1)
+    assert len(calls) == 2  # one per chunk of shots
+    calls.clear()
+    sim.extract_decoding_graph(local3)
+    assert calls
+    calls.clear()
+    assert validate_determinism(local3).ok
+    assert calls
+
+
 def test_slices_of_any_size_give_the_same_parities(monkeypatch, dist6):
     """Detector parities taken a few records at a time, one list per slice
     where a list is longer than the bound."""
@@ -197,43 +236,3 @@ def test_bad_indices_raise_circuit_error(change):
     circuit = dataclasses.replace(_hand_built(), **change)
     with pytest.raises(CircuitError):
         sample_shots(circuit, 0, 10)
-
-
-@pytest.mark.parametrize("shots, n_det, n_obs", [(13, 11, 2), (1, 0, 3), (70, 7, 0)])
-def test_shot_batch_round_trip(tmp_path, shots, n_det, n_obs):
-    rng = np.random.default_rng(shots)
-    batch = ShotBatch(
-        shots=shots,
-        seed=5,
-        detectors=rng.integers(0, 2, (shots, n_det), dtype=np.uint8),
-        observables=rng.integers(0, 2, (shots, n_obs), dtype=np.uint8),
-    )
-    path = tmp_path / "batch.bin"
-    save_shot_batch(batch, path)
-    _assert_same(load_shot_batch(path), batch)
-
-
-def test_damaged_shot_file_names_file_and_size(tmp_path):
-    batch = sample_shots(_hand_built(), 1, 300)
-    path = tmp_path / "batch.bin"
-    save_shot_batch(batch, path)
-    path.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(ValueError, match=r"batch\.bin.*600 payload bytes"):
-        load_shot_batch(path)
-
-
-@pytest.mark.parametrize(
-    "header",
-    [
-        b"[1, 2]",
-        b"5",
-        b'{"shots": 1, "seed": 0, "n_observables": 0}',
-        b'{"shots": 1, "seed": 0, "n_detectors": "8", "n_observables": 0}',
-    ],
-    ids=["list", "number", "no-n_detectors", "string-count"],
-)
-def test_bad_shot_file_header_names_file(tmp_path, header):
-    path = tmp_path / "batch.bin"
-    path.write_bytes(header + b"\n" + bytes(1))
-    with pytest.raises(ValueError, match=r"batch\.bin.*header"):
-        load_shot_batch(path)
