@@ -14,6 +14,7 @@ is, when it does not depend on any random measurement outcome.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -151,7 +152,6 @@ class CircuitProgram:
     detectors: tuple[Detector, ...]
     observables: tuple[Observable, ...]
     n_records: int
-    metadata: dict = field(default_factory=dict, compare=False, repr=False)
     # what is derived from the program once and read many times (the
     # kernel's compiled ops and parity slices), by name, with the objects
     # each was derived from; not an init field, so that dataclasses.replace
@@ -161,13 +161,11 @@ class CircuitProgram:
     )
 
     def measurement_index_ok(self) -> bool:
-        for det in self.detectors:
-            if any(r < 0 or r >= self.n_records for r in det.records):
-                return False
-        for obs in self.observables:
-            if any(r < 0 or r >= self.n_records for r in obs.records):
-                return False
-        return True
+        """Whether every detector and observable record is in [0, n_records)."""
+        lists = [d.records for d in self.detectors]
+        lists += [o.records for o in self.observables]
+        records = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64)
+        return bool(np.all((records >= 0) & (records < self.n_records)))
 
     def cached(self, name: str, sources: tuple, build):
         """build(), kept under name and built again once any object in
@@ -257,14 +255,6 @@ def find_logical_observables(lat: Lattice) -> LogicalOperatorSet:
 # compilation
 
 
-def _single_cluster_partition(lat: Lattice) -> Partition:
-    return Partition(
-        clusters=((frozenset(range(lat.n_vertices)), tuple(range(len(lat.edges)))),),
-        nonlocal_edges=(),
-        n_qpu=3 * lat.n_vertices,
-    )
-
-
 def build_memory_circuit(
     lattice: Lattice,
     partition: Optional[Partition],
@@ -276,12 +266,12 @@ def build_memory_circuit(
 
     _check_count("n_detector_rounds", n_detector_rounds, 1)
     validate_lattice(lattice)
-    if partition is None:
-        partition = _single_cluster_partition(lattice)
-    validate_partition(lattice, partition)
+    nonlocal_set = set()
+    if partition is not None:
+        validate_partition(lattice, partition)
+        nonlocal_set = set(partition.nonlocal_edges)
 
     n_data = lattice.n_vertices
-    nonlocal_set = set(partition.nonlocal_edges)
 
     bell_ancillas = []
     anc = {}
@@ -401,14 +391,6 @@ def build_memory_circuit(
         detectors=(),
         observables=tuple(observables),
         n_records=n_records,
-        metadata={
-            "lattice": lattice.name,
-            "rounds": n_detector_rounds,
-            "p_local": noise.p_local,
-            "p_nonlocal": noise.p_nonlocal,
-            "bell_wait_cycles": noise.bell_wait_cycles,
-            "n_nonlocal_edges": len(nonlocal_set),
-        },
     )
 
     def minus_edges(fi: int) -> list[int]:
@@ -743,9 +725,13 @@ def validate_determinism(program: CircuitProgram) -> DeterminismReport:
     """
     from floqnet.sim import _parity_lists, _random_parities  # sim imports this module
 
-    if not program.measurement_index_ok():
+    try:
+        parity_lists = _parity_lists(program)
+    except CircuitError:
+        if program.measurement_index_ok():
+            raise
         return DeterminismReport(False, ((-1, "record index out of range"),), ())
-    random = _random_parities(program, _parity_lists(program)).tolist()
+    random = _random_parities(program, parity_lists).tolist()
     n_det = program.n_detectors
     bad_d = tuple(
         (i, "parity depends on measurement randomness")

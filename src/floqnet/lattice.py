@@ -6,6 +6,12 @@ data qubits, edges carry two-qubit checks, and faces carry the inferred
 stabilisers.  Faces are properly 3-coloured and the colour of an edge is
 the unique colour absent from its two incident faces.
 
+Face colours are all or none.  The three faces at a vertex are pairwise
+distinct and both ends of an edge share its two faces, so two coloured
+faces at a vertex fix the third: a connected trivalent map has at most one
+proper face 3-colouring up to a permutation of the colours, and
+color_faces finds it by forced propagation rather than search.
+
 Toric honeycombs ({6,3}) are generated directly; any other closed tiling,
 such as an {8,3} one, is loaded from lattice text or a file.
 Fine-graining subdivides the dual triangulation and re-dualises,
@@ -15,9 +21,9 @@ multiplying the qubit count by f² while preserving the genus.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = [
     "Edge",
@@ -44,7 +50,7 @@ class LatticeError(ValueError):
 
 
 class NotThreeColorableError(LatticeError):
-    """Raised when exhaustive search proves no proper face 3-colouring exists."""
+    """Raised when no proper face 3-colouring exists."""
 
 
 def _require_int(value, error: type[Exception], message: str, least=None) -> None:
@@ -214,27 +220,34 @@ def _orient_stored_faces(lat: Lattice) -> list[list[int]]:
     """Reconstruct coherent dart walks for the stored face cycles.
 
     Face cycles are stored as edge ids; a closed orientable surface admits a
-    direction assignment in which every dart is used exactly once.  The
-    assignment is propagated from face 0 and is unique per component up to a
-    global flip.
+    direction assignment in which every dart is used exactly once.  Each
+    face has at most two walks along its cycle, one per direction of its
+    first edge.  A component's lowest-id face takes the walk that starts
+    with dart 2·e0 where that walk closes; the neighbour across dart d takes
+    its walk holding d^1, unique since it holds the shared edge once.  The
+    assignment is unique per component up to a global flip.
     """
     edges = lat.edges
 
     def walk_from(face: Face, first_dart: int) -> Optional[list[int]]:
         darts = [first_dart]
+        at = _dart_head(edges, first_dart)
         for e in face.edges[1:]:
-            at = _dart_head(edges, darts[-1])
             edge = edges[e]
             if edge.u == at:
                 darts.append(2 * e)
+                at = edge.v
             elif edge.v == at:
                 darts.append(2 * e + 1)
+                at = edge.u
             else:
                 return None
-        if _dart_head(edges, darts[-1]) != _dart_tail(edges, darts[0]):
-            return None
-        return darts
+        return darts if at == _dart_tail(edges, first_dart) else None
 
+    walks = [
+        (walk_from(f, 2 * f.edges[0]), walk_from(f, 2 * f.edges[0] + 1))
+        for f in lat.faces
+    ]
     # faces sharing an edge are neighbours; propagate orientation constraints
     edge_to_faces: dict[int, list[int]] = {}
     for fi, f in enumerate(lat.faces):
@@ -244,7 +257,7 @@ def _orient_stored_faces(lat: Lattice) -> list[list[int]]:
         if len(fs) != 2:
             raise LatticeError(f"edge {e} lies on {len(fs)} face slots, expected 2")
 
-    oriented: dict[int, list[int]] = {}
+    oriented: list[Optional[list[int]]] = [None] * len(lat.faces)
     dart_used = [False] * (2 * len(edges))
 
     def commit(fi: int, darts: list[int]) -> None:
@@ -257,14 +270,10 @@ def _orient_stored_faces(lat: Lattice) -> list[list[int]]:
             dart_used[d] = True
         oriented[fi] = darts
 
-    for root in range(len(lat.faces)):
-        if root in oriented:
+    for root, (forward, backward) in enumerate(walks):
+        if oriented[root] is not None:
             continue
-        f0 = lat.faces[root]
-        e0 = f0.edges[0]
-        darts = walk_from(f0, 2 * e0)
-        if darts is None:
-            darts = walk_from(f0, 2 * e0 + 1)
+        darts = forward if forward is not None else backward
         if darts is None:
             raise LatticeError(f"face {root} edge cycle is not a closed walk")
         commit(root, darts)
@@ -272,34 +281,21 @@ def _orient_stored_faces(lat: Lattice) -> list[list[int]]:
         while stack:
             fi = stack.pop()
             for d in oriented[fi]:
-                e = d >> 1
-                other = [g for g in edge_to_faces[e] if g != fi]
-                nxt = other[0] if other else fi
-                if nxt in oriented and nxt != fi:
+                a, b = edge_to_faces[d >> 1]
+                nxt = b if a == fi else a
+                if nxt == fi or oriented[nxt] is not None:
                     continue
-                if nxt == fi:
-                    continue
-                g = lat.faces[nxt]
-                want = (d ^ 1)  # neighbour must traverse e in reverse
-                cand = None
-                for k, ge in enumerate(g.edges):
-                    if ge != e:
-                        continue
-                    rolled = g.edges[k:] + g.edges[:k]
-                    w = walk_from(Face(rolled, g.color), want)
-                    if w is not None:
-                        cand = w
-                        break
-                if cand is None:
+                # the neighbour must traverse the shared edge in reverse
+                cand = [w for w in walks[nxt] if w is not None and d ^ 1 in w]
+                if not cand:
                     raise LatticeError(
                         f"cannot orient face {nxt} against its neighbour {fi}"
                     )
-                commit(nxt, cand)
+                commit(nxt, cand[0])
                 stack.append(nxt)
     if not all(dart_used):
         raise LatticeError("stored faces do not cover every directed edge")
-    # return walks aligned with stored face order
-    return [oriented[i] for i in range(len(lat.faces))]
+    return oriented
 
 
 def _rotation_from_walks(lat: Lattice, walks: list[list[int]]) -> RotationSystem:
@@ -414,9 +410,14 @@ def validate_lattice(lat: Lattice, require_colors: bool = True) -> None:
 def color_faces(lat: Lattice) -> Lattice:
     """Properly 3-colour the faces and derive edge colours.
 
-    Already-coloured lattices are verified and returned unchanged.  Uses
-    most-constrained-face-first backtracking with ties broken by face id;
-    raises NotThreeColorableError when the exhaustive search fails.
+    Already-coloured lattices are verified and returned unchanged.  Colours
+    are all or none: faces that all carry a colour keep it, and a face list
+    that is only partly coloured is rejected.  Uncoloured faces get the
+    unique colouring (see the module docstring) by forced propagation: in
+    each connected component the lowest-id face takes colour 0 and its
+    lowest-id neighbour colour 1, and wherever two faces at a vertex are
+    coloured the third takes the remaining colour.  A conflict raises
+    NotThreeColorableError.
     """
     if all(f.color is not None for f in lat.faces) and all(
         e.color is not None for e in lat.edges
@@ -425,68 +426,25 @@ def color_faces(lat: Lattice) -> Lattice:
         return lat
 
     ef = lat.edge_faces()
-    n_faces = len(lat.faces)
-    neighbours: list[set[int]] = [set() for _ in range(n_faces)]
-    for e in range(len(lat.edges)):
-        a, b = ef[e]
+    for e, (a, b) in enumerate(ef):
         if a == b:
             raise NotThreeColorableError(
                 f"face {a} is adjacent to itself across edge {e}; not 3-colorable"
             )
-        neighbours[a].add(b)
-        neighbours[b].add(a)
 
     colors: list[Optional[int]] = [f.color for f in lat.faces]
-    for fi, c in enumerate(colors):
-        if c is not None:
-            for g in neighbours[fi]:
-                if colors[g] == c:
-                    raise LatticeError(
-                        f"pre-assigned colours conflict on faces {fi} and {g}"
-                    )
-
-    def options(fi: int) -> list[int]:
-        used = {colors[g] for g in neighbours[fi] if colors[g] is not None}
-        return [c for c in (0, 1, 2) if c not in used]
-
-    # iterative backtracking; most-constrained face first, ties by id
-    trail: list[tuple[int, list[int], int]] = []  # (face, remaining options, depth)
-
-    def pick() -> Optional[int]:
-        best = None
-        best_opts = 4
-        for fi in range(n_faces):
-            if colors[fi] is not None:
-                continue
-            k = len(options(fi))
-            if k < best_opts:
-                best, best_opts = fi, k
-                if k <= 1:
-                    break
-        return best
-
-    while True:
-        fi = pick()
-        if fi is None:
-            break
-        opts = options(fi)
-        while not opts:
-            # backtrack
-            while trail:
-                prev, remaining, _ = trail.pop()
-                colors[prev] = None
-                if remaining:
-                    fi, opts = prev, remaining
-                    break
-            else:
-                raise NotThreeColorableError(
-                    "exhaustive search found no proper 3-colouring of the faces"
-                )
-            if opts:
-                break
-        c = opts.pop(0)
-        colors[fi] = c
-        trail.append((fi, opts, len(trail)))
+    if None not in colors:
+        conflicts = [(a, b) for a, b in ef if colors[a] == colors[b]]
+        if conflicts:
+            a, b = min(conflicts)
+            raise LatticeError(f"pre-assigned colours conflict on faces {a} and {b}")
+    elif any(c is not None for c in colors):
+        raise LatticeError(
+            f"face {colors.index(None)} is uncoloured while others are coloured; "
+            "colour every face or none"
+        )
+    else:
+        colors = _forced_colors(lat, ef)
 
     new_faces = tuple(Face(f.edges, colors[i]) for i, f in enumerate(lat.faces))
     new_edges = []
@@ -501,6 +459,39 @@ def color_faces(lat: Lattice) -> Lattice:
     out = replace(lat, edges=tuple(new_edges), faces=new_faces)
     validate_lattice(out, require_colors=True)
     return out
+
+
+def _forced_colors(lat: Lattice, ef: list[list[int]]) -> list[int]:
+    """The face colouring that color_faces describes, for a map whose faces
+    are closed walks and not adjacent to themselves.
+
+    Consecutive neighbours around a face meet it at a vertex, so the forced
+    rule colours a face's neighbours alternately with its two other colours,
+    starting from the neighbour that coloured it.
+    """
+    colors: list[Optional[int]] = [None] * len(lat.faces)
+    for root, face in enumerate(lat.faces):
+        if colors[root] is not None:
+            continue
+        first = min(g for e in face.edges for g in ef[e] if g != root)
+        colors[root], colors[first] = 0, 1
+        stack = [(root, first)]
+        while stack:
+            fi, by = stack.pop()
+            sides = (ef[e] for e in lat.faces[fi].edges)
+            around = [a if b == fi else b for a, b in sides]
+            at = around.index(by)
+            others = (colors[by], 3 - colors[fi] - colors[by])
+            for i, g in enumerate(around):
+                want = others[(i - at) % 2]
+                if colors[g] is None:
+                    colors[g] = want
+                    stack.append((g, fi))
+                elif colors[g] != want:
+                    raise NotThreeColorableError(
+                        "exhaustive search found no proper 3-colouring of the faces"
+                    )
+    return colors
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +647,6 @@ def fine_grain(lat: Lattice, f: int) -> Lattice:
     rot = _rotation_from_walks(lat, walks)
     owner = _face_of_dart(walks)
     edges = lat.edges
-    ef = lat.edge_faces()
 
     def corner_point(face: int) -> Point:
         return ("F", face)
@@ -831,7 +821,11 @@ def load_lattice(source: str | Path) -> Lattice:
 
     A string without a newline is a path; a missing file raises LatticeError
     naming it.  Validation failures raise LatticeError; nothing is silently
-    repaired.  Uncoloured input is coloured via color_faces.
+    repaired.  Colours follow color_faces: face colours are all or none, a
+    file that colours every face keeps those colours (its edge colours must
+    match them or be absent), one that colours none gets the colouring that
+    is unique up to a permutation of the colours, and one that colours only
+    some faces is rejected.
     """
     if isinstance(source, Path):
         text = source.read_text(encoding="utf-8")
@@ -844,8 +838,4 @@ def load_lattice(source: str | Path) -> Lattice:
         text = p.read_text(encoding="utf-8")
     lat = _parse_lattice_text(text)
     validate_lattice(lat, require_colors=False)
-    if all(f.color is not None for f in lat.faces):
-        validate_lattice(lat, require_colors=True)
-        return lat
-    # partial colourings are completed by search (pre-assignments respected)
     return color_faces(lat)

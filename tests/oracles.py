@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,6 +20,14 @@ from floqnet.circuit import (
     Reset,
     _CODE,
     _entry,
+)
+from floqnet.lattice import (
+    Edge,
+    Face,
+    Lattice,
+    LatticeError,
+    NotThreeColorableError,
+    validate_lattice,
 )
 from floqnet import sim
 from floqnet.sim import _CHUNK, ShotBatch, _annotation_rng, _sample_events
@@ -490,3 +500,97 @@ def reference_decoding_graph(circuit: CircuitProgram) -> sim.DecodingGraph:
         obs_mask=np.array([o for _, o in keys], dtype=np.uint64),
         stats=stats,
     )
+
+
+def reference_color_faces(lat: Lattice) -> Lattice:
+    """Properly 3-colour the faces and derive edge colours, by search.
+
+    An oracle for floqnet.lattice.color_faces that does not rely on the
+    colouring being forced.  Already-coloured lattices are verified and
+    returned unchanged.  Uses most-constrained-face-first backtracking with
+    ties broken by face id, and so completes partial colourings; raises
+    NotThreeColorableError when the exhaustive search fails.
+    """
+    if all(f.color is not None for f in lat.faces) and all(
+        e.color is not None for e in lat.edges
+    ):
+        validate_lattice(lat, require_colors=True)
+        return lat
+
+    ef = lat.edge_faces()
+    n_faces = len(lat.faces)
+    neighbours: list[set[int]] = [set() for _ in range(n_faces)]
+    for e in range(len(lat.edges)):
+        a, b = ef[e]
+        if a == b:
+            raise NotThreeColorableError(
+                f"face {a} is adjacent to itself across edge {e}; not 3-colorable"
+            )
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+
+    colors: list[Optional[int]] = [f.color for f in lat.faces]
+    for fi, c in enumerate(colors):
+        if c is not None:
+            for g in neighbours[fi]:
+                if colors[g] == c:
+                    raise LatticeError(
+                        f"pre-assigned colours conflict on faces {fi} and {g}"
+                    )
+
+    def options(fi: int) -> list[int]:
+        used = {colors[g] for g in neighbours[fi] if colors[g] is not None}
+        return [c for c in (0, 1, 2) if c not in used]
+
+    # iterative backtracking; most-constrained face first, ties by id
+    trail: list[tuple[int, list[int], int]] = []  # (face, remaining options, depth)
+
+    def pick() -> Optional[int]:
+        best = None
+        best_opts = 4
+        for fi in range(n_faces):
+            if colors[fi] is not None:
+                continue
+            k = len(options(fi))
+            if k < best_opts:
+                best, best_opts = fi, k
+                if k <= 1:
+                    break
+        return best
+
+    while True:
+        fi = pick()
+        if fi is None:
+            break
+        opts = options(fi)
+        while not opts:
+            # backtrack
+            while trail:
+                prev, remaining, _ = trail.pop()
+                colors[prev] = None
+                if remaining:
+                    fi, opts = prev, remaining
+                    break
+            else:
+                raise NotThreeColorableError(
+                    "exhaustive search found no proper 3-colouring of the faces"
+                )
+            if opts:
+                break
+        c = opts.pop(0)
+        colors[fi] = c
+        trail.append((fi, opts, len(trail)))
+
+    new_faces = tuple(Face(f.edges, colors[i]) for i, f in enumerate(lat.faces))
+    new_edges = []
+    for i, e in enumerate(lat.edges):
+        f0, f1 = ef[i]
+        derived = 3 - colors[f0] - colors[f1]
+        if e.color is not None and e.color != derived:
+            raise LatticeError(
+                f"stored colour of edge {i} conflicts with the face colouring"
+            )
+        new_edges.append(Edge(e.u, e.v, derived))
+    out = replace(lat, edges=tuple(new_edges), faces=new_faces)
+    validate_lattice(out, require_colors=True)
+    return out

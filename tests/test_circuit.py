@@ -227,6 +227,49 @@ def test_determinism_merges_the_entries_of_one_observable_index():
         validate_determinism(outside)
 
 
+@pytest.mark.parametrize("record", [-1, 3])
+@pytest.mark.parametrize("where", ["detector", "observable"])
+def test_record_index_out_of_range(monkeypatch, where, record):
+    """A record outside [0, n_records) fails certification with one report
+    entry, and sampling refuses the program; a program whose records are
+    all in range has them checked once per certification."""
+    z0 = MeasurePP(0.0, (((0, "Z"),),))
+    good = _one_qubit_program(
+        [Reset((0,)), z0, z0, z0],
+        detectors=[Detector((0, 1))],
+        observables=[Observable(0, (2,))],
+    )
+    checks = []
+    real = CircuitProgram.measurement_index_ok
+
+    def counted(program):
+        checks.append(program)
+        return real(program)
+
+    monkeypatch.setattr(CircuitProgram, "measurement_index_ok", counted)
+    assert validate_determinism(good).ok
+    assert len(checks) == 1
+    if where == "detector":
+        bad = dataclasses.replace(good, detectors=(Detector((0, record)),))
+    else:
+        bad = dataclasses.replace(good, observables=(Observable(0, (record,)),))
+    report = validate_determinism(bad)
+    assert not report.ok and not report.failing_observables
+    assert report.failing_detectors == ((-1, "record index out of range"),)
+    with pytest.raises(CircuitError, match="missing record"):
+        sample_shots(bad, 1, 10)
+
+
+def test_no_partition_compiles_as_one_processor(hc):
+    noise = NoiseParams(1e-3, 1e-2)
+    alone = build_memory_circuit(hc, None, noise, 2)
+    one = partition_code(hc, 3 * hc.n_vertices)
+    assert one.n_clusters == 1 and not one.nonlocal_edges
+    together = build_memory_circuit(hc, one, noise, 2)
+    for name in ("instructions", "detectors", "observables", "n_qubits", "n_records"):
+        assert getattr(alone, name) == getattr(together, name)
+
+
 def test_rejects_bad_round_count(hc):
     for rounds in (0, 1.5, True):
         with pytest.raises(CircuitError):
