@@ -216,8 +216,11 @@ def derive_faces(
     return [tuple(d >> 1 for d in walk) for walk in walks]
 
 
-def _orient_stored_faces(lat: Lattice) -> list[list[int]]:
-    """Reconstruct coherent dart walks for the stored face cycles.
+def _orient_stored_faces(
+    lat: Lattice, ef: Optional[list[list[int]]] = None
+) -> list[list[int]]:
+    """Reconstruct coherent dart walks for the stored face cycles; ef is
+    lat.edge_faces(), built here when not given.
 
     Face cycles are stored as edge ids; a closed orientable surface admits a
     direction assignment in which every dart is used exactly once.  Each
@@ -249,12 +252,10 @@ def _orient_stored_faces(lat: Lattice) -> list[list[int]]:
         for f in lat.faces
     ]
     # faces sharing an edge are neighbours; propagate orientation constraints
-    edge_to_faces: dict[int, list[int]] = {}
-    for fi, f in enumerate(lat.faces):
-        for e in f.edges:
-            edge_to_faces.setdefault(e, []).append(fi)
-    for e, fs in edge_to_faces.items():
-        if len(fs) != 2:
+    if ef is None:
+        ef = lat.edge_faces()
+    for e, fs in enumerate(ef):
+        if fs and len(fs) != 2:
             raise LatticeError(f"edge {e} lies on {len(fs)} face slots, expected 2")
 
     oriented: list[Optional[list[int]]] = [None] * len(lat.faces)
@@ -281,7 +282,7 @@ def _orient_stored_faces(lat: Lattice) -> list[list[int]]:
         while stack:
             fi = stack.pop()
             for d in oriented[fi]:
-                a, b = edge_to_faces[d >> 1]
+                a, b = ef[d >> 1]
                 nxt = b if a == fi else a
                 if nxt == fi or oriented[nxt] is not None:
                     continue
@@ -340,6 +341,14 @@ def _face_of_dart(walks: list[list[int]]) -> dict[int, int]:
 
 def validate_lattice(lat: Lattice, require_colors: bool = True) -> None:
     """Check every structural invariant; raise LatticeError on violation."""
+    _validate_lattice(lat, require_colors)
+
+
+def _validate_lattice(
+    lat: Lattice, require_colors: bool, ef: Optional[list[list[int]]] = None
+) -> None:
+    """validate_lattice, reading the edge -> faces table ef where the caller
+    has built it (lat.edge_faces() of these faces, whatever their colours)."""
     degree = [0] * lat.n_vertices
     for i, e in enumerate(lat.edges):
         if not (0 <= e.u < lat.n_vertices and 0 <= e.v < lat.n_vertices):
@@ -352,16 +361,15 @@ def validate_lattice(lat: Lattice, require_colors: bool = True) -> None:
     if bad:
         raise LatticeError(f"vertices are not tri-valent (first offender: {bad[0]})")
 
-    slot_count = [0] * len(lat.edges)
     for fi, f in enumerate(lat.faces):
         if len(f.edges) < 2:
             raise LatticeError(f"face {fi} has fewer than 2 edges")
-        for e in f.edges:
-            slot_count[e] += 1
-    wrong = [e for e, c in enumerate(slot_count) if c != 2]
+    if ef is None:
+        ef = lat.edge_faces()
+    wrong = [e for e, fs in enumerate(ef) if len(fs) != 2]
     if wrong:
         raise LatticeError(
-            f"edge {wrong[0]} appears on {slot_count[wrong[0]]} face slots, expected 2"
+            f"edge {wrong[0]} appears on {len(ef[wrong[0]])} face slots, expected 2"
         )
 
     chi = lat.euler_characteristic
@@ -371,7 +379,7 @@ def validate_lattice(lat: Lattice, require_colors: bool = True) -> None:
         )
 
     # orientability + closed walks
-    _orient_stored_faces(lat)
+    _orient_stored_faces(lat, ef)
 
     if lat.schlafli == (8, 3) and all(len(f.edges) == 8 for f in lat.faces):
         if lat.n_vertices % 16 != 0 or lat.genus != lat.n_vertices // 16 + 1:
@@ -381,7 +389,6 @@ def validate_lattice(lat: Lattice, require_colors: bool = True) -> None:
             )
 
     if require_colors:
-        ef = lat.edge_faces()
         for fi, f in enumerate(lat.faces):
             if f.color is None:
                 raise LatticeError(f"face {fi} is uncoloured")
@@ -457,7 +464,7 @@ def color_faces(lat: Lattice) -> Lattice:
             )
         new_edges.append(Edge(e.u, e.v, derived))
     out = replace(lat, edges=tuple(new_edges), faces=new_faces)
-    validate_lattice(out, require_colors=True)
+    _validate_lattice(out, True, ef)
     return out
 
 
@@ -641,9 +648,10 @@ def fine_grain(lat: Lattice, f: int) -> Lattice:
     _require_int(f, LatticeError, message, least=1)
     if f == 1:
         return lat
-    validate_lattice(lat, require_colors=True)
+    ef = lat.edge_faces()
+    _validate_lattice(lat, True, ef)
 
-    walks = _orient_stored_faces(lat)
+    walks = _orient_stored_faces(lat, ef)
     rot = _rotation_from_walks(lat, walks)
     owner = _face_of_dart(walks)
     edges = lat.edges

@@ -18,14 +18,31 @@ before or just after an op.  Detector and observable parities are XORs of
 record rows (a record listed twice counts once), taken at the end in
 slices of bounded size.  The three callers differ only in their columns
 and injections.  The sampler's columns are shots and its injections the
-noise events, drawn from the same streams in the same order as the
-unpacked reference loop in the test suite, whose output it equals bit for
-bit.  Graph extraction's columns are atoms: an X and a Z per qubit of every
-noisy depolarising cell, and, for every product with a noisy outcome, a
-Pauli on its first qubit that anticommutes with it there, just before and
-just after the measurement.  Determinism certification's columns are
-stabiliser gauges (see _random_parities): a parity of records is
-deterministic in the noiseless circuit exactly when no gauge flips it.
+noise events (see below).  Graph extraction's columns are atoms: an X and
+a Z per qubit of every noisy depolarising cell, and, for every product
+with a noisy outcome, a Pauli on its first qubit that anticommutes with
+it there, just before and just after the measurement.  Determinism
+certification's columns are stabiliser gauges (see _random_parities): a
+parity of records is deterministic in the noiseless circuit exactly when
+no gauge flips it.
+
+The sampler draws each chunk's noise in one batched pass.  Every noisy
+Depolarize1, Depolarize2 or MeasurePP is one stream with its own Philox
+generator, kept on the program and re-keyed for each chunk by assigning
+its state, far cheaper than building a generator.  Streams with
+p < _DENSE_P draw one block of uniforms each into one shared buffer, and
+one in-place pass turns the whole buffer into geometric gaps, running
+sums per stream and event positions; the rare stream whose block ends
+short of its cells continues alone, block by block, and a stream with
+p >= _DENSE_P draws one uniform per cell.  Pauli terms are drawn only
+for streams with events.  One vectorised decode turns every event into
+int32 (slot, row, column) injections, each placed just before the first
+later op that clears or reads frame rows, so the kernel flips bits once
+per such op rather than once per noise op.  The stage works in place
+and frees its event-sized arrays as it goes, so that its transient
+memory stays below the propagation stage's, where a chunk's memory
+peaks.  The draws are those of the unpacked per-stream reference loop in
+the test suite, whose output the sampler equals bit for bit.
 
 Graph extraction keeps the atoms' detectors as a CSR with one observable
 mask per column.  Columns on one frame row between the same two ops that
@@ -80,6 +97,8 @@ _DENSE_P = 0.05
 _SLICE_ROWS = 2048  # record rows gathered at once for detector parities
 _WORD = np.dtype("<u8")  # 64 shots per word, shot 64i + j at bit j of word i
 _CLEAR, _PAULI, _MEASURE = range(3)
+# row c: the bits of noise event code c, least significant first
+_CODE_BITS = np.array([[c >> b & 1 for b in range(4)] for c in range(16)], dtype=bool)
 
 
 class GraphExtractionError(RuntimeError):
@@ -101,42 +120,12 @@ class ShotBatch:
             raise ValueError("bit-matrix shape does not match shot count")
 
 
-def _annotation_rng(seed: int, ann: int, chunk: int) -> np.random.Generator:
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((ann << 24) ^ chunk)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _sample_events(rng, n_cells: int, p: float, n_types: int):
-    """Positions and types of iid error events on n_cells Bernoulli(p) cells."""
-    if p <= 0 or n_cells == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if p >= _DENSE_P:
-        u = rng.random(n_cells)
-        pos = np.nonzero(u < p)[0]
-        types = np.floor(n_types * u[pos] / p).astype(np.int64)
-        np.clip(types, 0, n_types - 1, out=types)
-        return pos, types
-    # geometric gap sampling: exact sparse Bernoulli process
-    chunks = []
-    last = -1
-    expect = int(n_cells * p) + 1
-    while True:
-        m = max(16, expect + 8 * int(np.sqrt(expect)) + 8)
-        u = rng.random(m)
-        gaps = np.floor(np.log(u) / np.log1p(-p)).astype(np.int64) + 1
-        run = last + np.cumsum(gaps)
-        chunks.append(run[run < n_cells])
-        if run.size and run[-1] >= n_cells:
-            break
-        if run.size:
-            last = int(run[-1])
-        expect = max(1, expect // 2)
-    pos = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    types = rng.integers(0, n_types, size=pos.size)
-    return pos, types
+def _draws(expect):
+    """Uniforms drawn for one block of a sparse stream that expects expect
+    events in it (an int or an int64 array): the mean plus eight standard
+    deviations, at least 16, so that one block almost always covers the
+    stream's cells."""
+    return np.maximum(16, expect + 8 * np.sqrt(expect).astype(np.int64) + 8)
 
 
 def _index_lists(lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,17 +314,219 @@ def _propagate(circuit: CircuitProgram, ops, slices, width: int, slot, row, col)
     return bits
 
 
+class _Streams(NamedTuple):
+    """The program's noise streams, in op order: one per Depolarize1 or
+    Depolarize2 with p > 0 and a cell, and one per MeasurePP with flip_p > 0
+    and a product.  A stream has cells[s] cells per shot, cell c of shot j
+    being its event position j * cells[s] + c, and its events' injections
+    all go to slot[s], just before the first op from its own on that clears
+    or reads frame rows (the last slot when there is none).
+
+    An event's code holds one bit per injection: a Pauli term t (0-based)
+    has code t + 1, an outcome flip code 1, and bit b of the code flips row
+    rows[first[s] + c, b] of the packed state.
+    """
+
+    key: np.ndarray  # uint64: annotation index << 24, XOR the chunk for the key
+    p: np.ndarray  # float64
+    logq: np.ndarray  # float64: np.log1p(-p), the gap sampler's divisor
+    n_types: list  # 3 or 15 Pauli terms, or 1 for an outcome flip
+    cells: np.ndarray  # int64
+    first: np.ndarray  # in the index dtype
+    slot: np.ndarray  # int32
+    rows: np.ndarray  # int32 (cells, 4)
+    index: type  # np.int32 where every event position and row index fits
+    # sets of one Generator per stream, re-keyed each chunk, that no call is
+    # using: a call takes one set, or makes one if none is free, and puts it
+    # back, so calls from several threads never share a generator
+    idle: list
+
+
+def _noise_streams(circuit: CircuitProgram, ops) -> _Streams:
+    """The noise streams of the compiled ops (see _Streams)."""
+    n = circuit.n_qubits
+    # per op, the slot just before the first op from it on that clears or
+    # reads frame rows; Pauli ops act only through injections
+    before = [2 * len(ops) - 1] * (len(ops) + 1)
+    for i in range(len(ops) - 1, -1, -1):
+        before[i] = before[i + 1] if ops[i][0] == _PAULI else 2 * i
+    fields, rows = [], [np.zeros((0, 4), dtype=np.int32)]
+    for i, op in enumerate(ops):
+        if op[0] == _PAULI and op[2] > 0 and op[3].size:
+            _, ann, p, cells = op
+            # the last qubit of a cell takes code bits 0 (X) and 1 (Z), as
+            # its Pauli is the low two bits of the term
+            k = cells.shape[1]
+            r = np.zeros((len(cells), 4), dtype=np.int32)
+            r[:, 0 : 2 * k : 2] = cells[:, ::-1]
+            r[:, 1 : 2 * k : 2] = cells[:, ::-1] + n
+            fields.append((ann, p, 4**k - 1, len(cells), before[i]))
+        elif op[0] == _MEASURE and op[2] > 0 and op[4]:
+            _, ann, flip_p, rec, nprod = op[:5]
+            r = np.zeros((nprod, 4), dtype=np.int32)
+            r[:, 0] = 2 * n + rec + np.arange(nprod)
+            fields.append((ann, flip_p, 1, nprod, before[i + 1]))
+        else:
+            continue
+        rows.append(r)
+    ann, p, n_types, cells, slot = zip(*fields) if fields else ((),) * 5
+    cells = np.array(cells, dtype=np.int64)
+    rows = np.concatenate(rows)
+    widest = max(_CHUNK * cells.max(initial=0), 4 * len(rows))
+    index = np.int32 if widest < 2**31 else np.int64
+    return _Streams(
+        key=np.array(ann, dtype=np.uint64) << np.uint64(24),
+        p=np.array(p, dtype=np.float64),
+        logq=np.array([np.log1p(-q) for q in p], dtype=np.float64),
+        n_types=list(n_types),
+        cells=cells,
+        first=(np.cumsum(cells) - cells).astype(index),
+        slot=np.array(slot, dtype=np.int32),
+        rows=rows,
+        index=index,
+        idle=[],
+    )
+
+
+def _more_gaps(rng, last: int, expect: int, n_cells: int, logq) -> list[np.ndarray]:
+    """The positions after last of a sparse stream whose first block of
+    gaps ended before n_cells: more blocks, expect halved before each, until
+    one passes n_cells."""
+    out = []
+    while True:
+        expect = max(1, expect // 2)
+        u = rng.random(_draws(expect))
+        run = last + np.cumsum(np.floor(np.log(u) / logq).astype(np.int64) + 1)
+        out.append(run[run < n_cells])
+        if run.size and run[-1] >= n_cells:
+            return out
+        if run.size:
+            last = int(run[-1])
+
+
+def _noise_injections(streams: _Streams, gens: list, seed: int, chunk: int, w: int):
+    """One chunk's noise events on w shots as _propagate injections: int32
+    (slot, row, col), ascending in slot.
+
+    Stream s draws from gens[s], its Philox re-keyed on (seed, annotation
+    index << 24 XOR chunk) with a zero counter.  A stream with p < _DENSE_P
+    draws one block of _draws uniforms, turned into geometric gaps and
+    positions with the other sparse streams' blocks in one pass; in the
+    rare stream whose block ends before its last cell, more blocks follow.
+    A stream with p >= _DENSE_P draws one uniform per cell: an event where
+    u < p, of Pauli term floor(n_types u / p).  A sparse Pauli stream with
+    events then draws their terms with Generator.integers.
+    """
+    n_cells = w * streams.cells
+    dense = streams.p >= _DENSE_P
+    sparse = np.flatnonzero(~dense)
+    expect = (n_cells[sparse] * streams.p[sparse]).astype(np.int64) + 1
+    m = _draws(expect)
+    ends = np.cumsum(m)
+    starts = ends - m
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    keys = (streams.key ^ np.uint64(chunk)).tolist()
+
+    def rekey(s: int) -> np.random.Generator:
+        key[1] = keys[s]
+        gens[s].bit_generator.state = state
+        return gens[s]
+
+    # every sparse block in one buffer, worked in place
+    run = np.empty(int(ends[-1]) if m.size else 0)
+    for s, a, b in zip(sparse.tolist(), starts.tolist(), ends.tolist()):
+        rekey(s).random(out=run[a:b])
+    np.log(run, out=run)
+    run /= np.repeat(streams.logq[sparse], m)
+    run = np.floor(run, out=run).astype(np.int64)
+    run += 1
+    if run.size:
+        # running sums from -1 within each block: the first gap of a block
+        # takes back the total of the block before it
+        total = np.add.reduceat(run, starts)
+        run[starts[1:]] -= total[:-1]
+        run[0] -= 1
+        np.cumsum(run, out=run)
+    keep = run < np.repeat(n_cells[sparse], m)
+
+    extra = []  # (stream, positions, terms or None) outside the batch
+    for j in np.flatnonzero(keep[ends - 1]).tolist():
+        s, a, b = int(sparse[j]), int(starts[j]), int(ends[j])
+        more = _more_gaps(
+            gens[s], int(run[b - 1]), int(expect[j]), n_cells[s], streams.logq[s]
+        )
+        extra.append((s, np.concatenate([run[a:b], *more]), None))
+        keep[a:b] = False
+    for s in np.flatnonzero(dense).tolist():
+        u = rekey(s).random(n_cells[s])
+        pos = np.flatnonzero(u < streams.p[s])
+        n_types = streams.n_types[s]
+        types = np.floor(n_types * u[pos] / streams.p[s]).astype(np.int64)
+        extra.append((s, pos, np.clip(types, 0, n_types - 1, out=types)))
+
+    idx = np.flatnonzero(keep)
+    stream = np.repeat(sparse, np.diff(np.searchsorted(idx, ends), prepend=0))
+    pos = run[idx].astype(streams.index)
+    del run, keep, idx
+    if extra:
+        stream = np.concatenate([stream] + [np.full(x[1].size, x[0]) for x in extra])
+        pos = np.concatenate([pos] + [x[1] for x in extra], dtype=streams.index)
+        order = np.argsort(stream, kind="stable")
+        stream, pos = stream[order], pos[order]
+    bounds = np.searchsorted(stream, np.arange(len(gens) + 1)).tolist()
+    code = np.zeros(pos.size, dtype=np.uint8)  # the term, 0 for an outcome flip
+    terms = {s: t for s, _, t in extra if t is not None}
+    for s, n_types in enumerate(streams.n_types):
+        a, b = bounds[s], bounds[s + 1]
+        if n_types > 1 and a < b:
+            code[a:b] = terms[s] if s in terms else gens[s].integers(0, n_types, b - a)
+    code += 1
+
+    # decode, event-level arrays in the index dtype and each freed once
+    # used: an injection per set bit of an event's code, in event order
+    shot, cell = np.divmod(pos, streams.cells.astype(streams.index)[stream])
+    del pos
+    cell += streams.first[stream]
+    cell *= 4
+    slot = streams.slot[stream]
+    del stream
+    bit = np.flatnonzero(np.take(_CODE_BITS, code, axis=0))  # 4 event + code bit
+    del code
+    event = bit >> 2
+    bit &= 3
+    bit += np.take(cell, event)
+    del cell
+    row = np.take(streams.rows, bit)
+    del bit
+    return np.take(slot, event), row, np.take(shot, event).astype(np.int32, copy=False)
+
+
 def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
     """Sample detector and observable frame bits under the annotated noise.
 
-    Each chunk's noise events become _propagate injections: Pauli events
-    into frame rows just before their op, outcome flips into record rows
-    just after their measurement.  Deterministic for fixed (circuit, seed,
-    shots); all-zero output for a noiseless circuit.  Raises ValueError
-    unless shots is an integer >= 1 and seed an integer (numpy integers are
-    accepted, bools are not), and CircuitError when a detector or
-    observable references a missing record, an observable index is out of
-    range or an instruction targets a qubit the circuit does not have.
+    Each chunk of up to _CHUNK shots draws its noise events in one batched
+    pass over the program's noise streams (see _noise_injections) and runs
+    them through _propagate once.  Pauli events are injected into frame
+    rows and outcome flips into record rows, each just before the first
+    later op that clears or reads frame rows (or at the end), so the kernel
+    flips bits once per such op rather than once per noise op.  The streams'
+    tables and generators are built on the first call and kept on the
+    program (see _Streams).
+
+    Deterministic for fixed (circuit, seed, shots); all-zero output for a
+    noiseless circuit.  Raises ValueError unless shots is an integer >= 1
+    and seed an integer (numpy integers are accepted, bools are not), and
+    CircuitError when a detector or observable references a missing record,
+    an observable index is out of range or an instruction targets a qubit
+    the circuit does not have.
     """
     for name, value in (("shots", shots), ("seed", seed)):
         _require_int(value, ValueError, f"{name} must be an integer, not {value!r}")
@@ -343,52 +534,33 @@ def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
     if shots < 1:
         raise ValueError("shots must be positive")
     ops, slices = _compiled(circuit)
-    n = circuit.n_qubits
+    sources = (circuit.instructions, circuit.n_qubits, circuit.n_records)
+    streams = circuit.cached("noise", sources, lambda: _noise_streams(circuit, ops))
     n_det = circuit.n_detectors
     n_obs = circuit.n_observables
 
     det_out = np.zeros((shots, n_det), dtype=np.uint8)
     obs_out = np.zeros((shots, n_obs), dtype=np.uint8)
 
-    for chunk_idx, lo in enumerate(range(0, shots, _CHUNK)):
-        w = min(_CHUNK, shots - lo)
-        # int32 injections: a chunk's 10^5 of them stay alive through the
-        # parity stage of _propagate, where the sampler's memory peaks
-        slots, rows, cols = [], [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-        for i, op in enumerate(ops):
-            if op[0] == _PAULI and op[2] > 0 and op[3].size:
-                _, ann, p, cells = op
-                n_cells, k = cells.shape
-                rng = _annotation_rng(seed, ann, chunk_idx)
-                pos, types = _sample_events(rng, w * n_cells, p, 4**k - 1)
-                shot = np.tile(pos // n_cells, k)
-                qubit = cells[pos % n_cells].T.reshape(-1)
-                # types + 1 holds one 2-bit Pauli per qubit, the first qubit
-                # in the high bits; bit0 = X, bit1 = Z
-                shifts = np.arange(2 * (k - 1), -1, -2)[:, None]
-                pauli = (((types + 1) >> shifts) & 3).reshape(-1)
-                x = (pauli & 1).astype(bool)
-                z = (pauli & 2).astype(bool)
-                rows.append(np.concatenate([qubit[x], qubit[z] + n], dtype=np.int32))
-                cols.append(np.concatenate([shot[x], shot[z]], dtype=np.int32))
-                slots.append(2 * i)
-            elif op[0] == _MEASURE and op[2] > 0 and op[4]:
-                _, ann, flip_p, rec, nprod = op[:5]
-                rng = _annotation_rng(seed, ann, chunk_idx)
-                pos = _sample_events(rng, w * nprod, flip_p, 1)[0].astype(np.int32)
-                rows.append(2 * n + rec + pos % nprod)
-                cols.append(pos // nprod)
-                slots.append(2 * i + 1)
-        slot = np.repeat(np.asarray(slots, dtype=np.int32), [r.size for r in rows[1:]])
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        bits = _propagate(circuit, ops, slices, w, slot, rows, cols)
-        # little-endian words: bit j of byte i is shot 8i + j, so row i of
-        # the transposed bytes unpacks into output rows 8i + j, j = 0..7
-        by = np.ascontiguousarray(bits.view(np.uint8).T)
-        for out, part in ((det_out, by[:, :n_det]), (obs_out, by[:, n_det:])):
-            for j in range(8):
-                dst = out[lo + j : lo + w : 8]
-                np.bitwise_and(part[: len(dst)] >> j, 1, out=dst)
+    try:
+        gens = streams.idle.pop()
+    except IndexError:  # the first call, or every set is in use
+        gens = [np.random.Generator(np.random.Philox(key=0)) for _ in streams.n_types]
+    try:
+        for chunk_idx, lo in enumerate(range(0, shots, _CHUNK)):
+            w = min(_CHUNK, shots - lo)
+            injections = _noise_injections(streams, gens, seed, chunk_idx, w)
+            bits = _propagate(circuit, ops, slices, w, *injections)
+            del injections
+            # little-endian words: bit j of byte i is shot 8i + j, so row i
+            # of the transposed bytes unpacks into output rows 8i + j
+            by = np.ascontiguousarray(bits.view(np.uint8).T)
+            for out, part in ((det_out, by[:, :n_det]), (obs_out, by[:, n_det:])):
+                for j in range(8):
+                    dst = out[lo + j : lo + w : 8]
+                    np.bitwise_and(part[: len(dst)] >> j, 1, out=dst)
+    finally:
+        streams.idle.append(gens)
     return ShotBatch(shots=shots, seed=seed, detectors=det_out, observables=obs_out)
 
 

@@ -30,7 +30,7 @@ from floqnet.lattice import (
     validate_lattice,
 )
 from floqnet import sim
-from floqnet.sim import _CHUNK, ShotBatch, _annotation_rng, _sample_events
+from floqnet.sim import _CHUNK, ShotBatch
 
 _P1 = {
     "I": np.eye(2, dtype=complex),
@@ -236,13 +236,56 @@ def brute_force_min_weight(weights, syndromes, obs_masks, target_syndrome, max_s
     return best, masks
 
 
+def _annotation_rng(seed: int, ann: int, chunk: int) -> np.random.Generator:
+    """A fresh generator for noise annotation ann in shot chunk chunk."""
+    key = np.array(
+        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((ann << 24) ^ chunk)],
+        dtype=np.uint64,
+    )
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _sample_events(rng, n_cells: int, p: float, n_types: int):
+    """Positions and types of iid error events on n_cells Bernoulli(p) cells,
+    one stream at a time: the definition the batched sampler reproduces.
+    Each block of gaps draws sim._draws(expect) uniforms, read at call time
+    so that a test can patch the block size for both samplers at once."""
+    if p <= 0 or n_cells == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if p >= sim._DENSE_P:
+        u = rng.random(n_cells)
+        pos = np.nonzero(u < p)[0]
+        types = np.floor(n_types * u[pos] / p).astype(np.int64)
+        np.clip(types, 0, n_types - 1, out=types)
+        return pos, types
+    # geometric gap sampling: exact sparse Bernoulli process
+    chunks = []
+    last = -1
+    expect = int(n_cells * p) + 1
+    while True:
+        m = sim._draws(expect)
+        u = rng.random(m)
+        gaps = np.floor(np.log(u) / np.log1p(-p)).astype(np.int64) + 1
+        run = last + np.cumsum(gaps)
+        chunks.append(run[run < n_cells])
+        if run.size and run[-1] >= n_cells:
+            break
+        if run.size:
+            last = int(run[-1])
+        expect = max(1, expect // 2)
+    pos = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    types = rng.integers(0, n_types, size=pos.size)
+    return pos, types
+
+
 def reference_sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
     """The unpacked Pauli-frame sampler: one uint8 per shot and qubit.
 
     Loops over every measured product in Python and accumulates detector
     and observable parities as dense (shots x detectors) products.  It draws
-    the same random streams in the same order as floqnet.sim.sample_shots,
-    whose output must equal this one bit for bit.
+    each noise stream alone, from a fresh generator (_sample_events), where
+    floqnet.sim.sample_shots batches them; their outputs must be equal bit
+    for bit.
     """
     if shots < 1:
         raise ValueError("shots must be positive")

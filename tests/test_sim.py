@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -144,6 +147,104 @@ def test_noisy_product_of_no_qubit_matches_reference():
     assert batch.detectors[sim._CHUNK :].any(axis=0).all()
 
 
+def _edge_cases() -> CircuitProgram:
+    """Dense and sparse streams in one chunk, zero-p ops, ops with no cell,
+    an empty product, noise ops back to back and noise after the last
+    measurement, whose outcome flips no later op reads or clears."""
+    assert 0.1 >= sim._DENSE_P > 0.03
+    instructions = (
+        Reset((0, 1, 2, 3)),
+        Depolarize1(0.0, (0, 1)),
+        Depolarize1(0.01, (0, 1, 2, 3)),
+        Depolarize2(0.2, ((0, 1), (2, 3))),
+        Depolarize1(0.3, ()),
+        MeasurePP(0.0, (((0, "Z"),), ((1, "X"), (2, "X")))),
+        MeasurePP(0.03, (((0, "Z"), (1, "Z")), (), ((2, "X"), (3, "X")))),
+        MeasurePP(0.2, ()),
+        Depolarize2(0.0, ((1, 2),)),
+        Depolarize2(0.004, ((1, 2), (0, 3))),
+        MeasurePP(0.1, (((1, "Y"),), ((3, "Z"),))),
+        Depolarize1(0.3, (0, 2)),
+        Depolarize2(0.004, ((0, 3),)),
+    )
+    return CircuitProgram(
+        name="edge-cases",
+        n_qubits=4,
+        data_qubits=(0, 1, 2, 3),
+        bell_ancillas=(),
+        instructions=instructions,
+        detectors=(
+            Detector((0, 2)),
+            Detector((1, 4)),
+            Detector((3,)),
+            Detector((2, 5)),
+            Detector((6,)),
+        ),
+        observables=(Observable(0, (4, 6)),),
+        n_records=7,
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_edge_cases_match_reference(seed):
+    circuit = _edge_cases()
+    for shots in (1, 63, 4097, 8193):
+        batch = sample_shots(circuit, seed, shots)
+        _assert_same(batch, reference_sample_shots(circuit, seed, shots))
+    # the empty product's outcome flips reach detector 2 alone, and the last
+    # measurement's flips, which no later op reads, reach detector 4
+    assert batch.detectors.any(axis=0).all()
+
+
+def test_gap_continuation_matches_reference(monkeypatch):
+    """Blocks of about half a stream's expected events, patched into both
+    samplers through the one block-size rule, so sparse streams continue
+    block by block."""
+    calls = []
+    more = sim._more_gaps
+    monkeypatch.setattr(sim, "_draws", lambda expect: expect // 2 + 1)
+    monkeypatch.setattr(sim, "_more_gaps", lambda *a: calls.append(1) or more(*a))
+    for circuit in (_edge_cases(), _hand_built()):
+        for seed in SEEDS:
+            _assert_same(
+                sample_shots(circuit, seed, 4097),
+                reference_sample_shots(circuit, seed, 4097),
+            )
+    assert calls
+
+
+# sha256 of the detector and observable bytes that sample_shots returns for
+# 4097 shots at seed 20260 on the benchmark's circuits, at NoiseParams(3e-4,
+# 1e-2) and partition seed 0, keyed by (L, n_qpu, R)
+GOLDEN = {
+    (6, None, 2): (
+        "3863bbcb2db51fd12e559c3f2b547180ec4efac42e6a22e223032ca775e8b39e",
+        "d1724f2c602d3a79558fd66712efc438ad11efee27b5b8eca6440b7993033e5f",
+    ),
+    (9, 40, 3): (
+        "fb85c14073498da20654916eec7d764dba111ff5256da72397e15bfef2b618db",
+        "d959dd8e9a6fef8ea0b23ed1fb8c531e25a0e052ceb469f63283755ca1360d06",
+    ),
+    (12, 64, 4): (
+        "8cc8c61b0cdac6ed39a41a713373267efc54c0d5d651014fc7e56b766acfd45d",
+        "79309fb49dccca5c52dbd6b5b4848a86970293ec01250b29ab0a1189a684a642",
+    ),
+}
+
+
+@pytest.mark.parametrize("L, n_qpu, rounds", list(GOLDEN), ids=str)
+def test_benchmark_circuits_sample_golden_bits(L, n_qpu, rounds):
+    lat = generate_honeycomb_torus(L, L)
+    part = partition_code(lat, n_qpu, seed=0) if n_qpu else None
+    circuit = build_memory_circuit(lat, part, NoiseParams(3e-4, 1e-2), rounds)
+    batch = sample_shots(circuit, 20260, 4097)
+    digests = tuple(
+        hashlib.sha256(bits.tobytes()).hexdigest()
+        for bits in (batch.detectors, batch.observables)
+    )
+    assert digests == GOLDEN[L, n_qpu, rounds]
+
+
 def test_sampling_extraction_and_certification_walk_one_kernel(monkeypatch, local3):
     calls = []
     kernel = sim._propagate
@@ -156,6 +257,24 @@ def test_sampling_extraction_and_certification_walk_one_kernel(monkeypatch, loca
     calls.clear()
     assert validate_determinism(local3).ok
     assert calls
+
+
+def test_threads_sampling_one_program_get_their_own_bits():
+    """Calls from several threads on one program each re-key generators
+    that no other call is using."""
+    circuit = _compiled(3, None, NoiseParams(3e-3, 2e-2))
+    seeds = list(range(6)) * 4
+    want = {seed: sample_shots(circuit, seed, 4097) for seed in set(seeds)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            calls = pool.map(lambda s: sample_shots(circuit, s, 4097), seeds, timeout=120)
+            got = list(calls)
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, batch in zip(seeds, got):
+        _assert_same(batch, want[seed])
 
 
 def test_slices_of_any_size_give_the_same_parities(monkeypatch, dist6):
