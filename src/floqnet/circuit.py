@@ -6,10 +6,33 @@ colour's Pauli), then reads out transversally in Z.  Local checks are direct
 two-qubit Pauli-product measurements; non-local checks route through a noisy
 Bell pair and two local pair measurements whose XOR is the check value.
 
-Detector and observable record sets are constructed rule-based and then
-certified by the Pauli-frame kernel of floqnet.sim, run over stabiliser
-gauges: a parity is only emitted as a detector when no gauge flips it, that
-is, when it does not depend on any random measurement outcome.
+One rule gives every record set, face_value(f, τ): the records whose XOR
+is the stabiliser value of face f, of colour c, after sub-round τ.  The
+face's edges have colours c - 1 and c + 1 (mod 3), and the product of
+either set of checks is the stabiliser, so an inference completes at each
+anchor t = c - 1 mod 3: fresh(f, t) is the (c-1)-checks at t XOR the
+(c+1)-checks at t - 1, where the checks before sub-round 0 are the Z checks
+fixed by the reset.  A Bell-mediated check leaves a branch Pauli on its
+data qubits that its halves' X readouts resolve.  The branches of the
+anchor's (c-1)-checks, and of the (c+1)-checks at t + 2, fall after the
+inference and flip the face (those of the (c+1)-checks at t - 1 fall
+inside it and cancel), so face_value(f, τ) is fresh(f, t) at the
+latest anchor t <= τ, XOR the Bell X records of the (c-1)-checks at t,
+XOR those of the (c+1)-checks at t + 2 once τ >= t + 2.  A colour-2 face
+is Z type and fixed by the reset before its first anchor; any other face
+is random until then, and face_value is None.  From this rule:
+
+- every bulk detector is fresh(f, s) XOR face_value(f, s - 1), at each
+  anchor s where the earlier value is known;
+- every closing detector is the transversal readout of a colour-2 face
+  XOR face_value(f, 6R - 1);
+- the observable tracker multiplies in face f before sub-round s with the
+  records face_value(f, s - 1).
+
+The detectors and observables are then certified by the Pauli-frame kernel
+of floqnet.sim, run over stabiliser gauges: a parity that some gauge flips
+depends on a random measurement outcome, and compiling raises CircuitError
+naming it.
 """
 
 from __future__ import annotations
@@ -283,22 +306,16 @@ def build_memory_circuit(
     n_qubits = next_q
 
     edges_by_color = {c: lattice.edges_of_color(c) for c in range(3)}
-    face_edges_by_color: list[dict[int, list[int]]] = []
-    for f in lattice.faces:
-        split: dict[int, list[int]] = {0: [], 1: [], 2: []}
-        for e in f.edges:
-            split[lattice.edges[e].color].append(e)
-        face_edges_by_color.append(split)
     face_vertices = _face_vertex_sets(lattice)
 
     n_sub = 6 * n_detector_rounds
     instructions: list = []
     n_records = 0
     # per sub-round and edge: records whose XOR is the check value (two halves
-    # for Bell-mediated checks), and the full record set entering stabilizer
-    # inference (adds the Bell halves' closing X readouts)
+    # for Bell-mediated checks), and each Bell-mediated check's closing X
+    # readouts of its halves
     check_records: list[dict[int, list[int]]] = [dict() for _ in range(n_sub)]
-    edge_records: list[dict[int, list[int]]] = [dict() for _ in range(n_sub)]
+    bell_records: list[dict[int, list[int]]] = [dict() for _ in range(n_sub)]
 
     def emit_mpp(flip_p, products):
         nonlocal n_records
@@ -337,7 +354,6 @@ def build_memory_circuit(
             recs = emit_mpp(noise.p_local, prods)
             for e, r in zip(local_edges, recs):
                 check_records[s][e] = [r]
-                edge_records[s][e] = []
 
         if nl_edges:
             u_pairs = tuple((lattice.edges[e].u, anc[e][0]) for e in nl_edges)
@@ -363,7 +379,7 @@ def build_memory_circuit(
             x_recs = emit_mpp(noise.p_local, x_prods)
             for i, e in enumerate(nl_edges):
                 check_records[s][e] = [u_recs[i], v_recs[i]]
-                edge_records[s][e] = [x_recs[2 * i], x_recs[2 * i + 1]]
+                bell_records[s][e] = [x_recs[2 * i], x_recs[2 * i + 1]]
 
         duration = noise.bell_wait_cycles if nl_edges else 1
         idle_layers = max(0, duration - 1)
@@ -376,10 +392,66 @@ def build_memory_circuit(
     final_recs = emit_mpp(noise.p_local, [((q, "Z"),) for q in all_data])
     final_rec_of = {q: r for q, r in zip(all_data, final_recs)}
 
+    def records(fi: int, t: int, table) -> list[int]:
+        """The records in table of face fi's edges measured at sub-round t
+        (those of colour t mod 3); none before sub-round 0."""
+        if t < 0:
+            return []
+        at = table[t]
+        return [r for e in lattice.faces[fi].edges if e in at for r in at[e]]
+
+    def anchor(fi: int, tau: int) -> int:
+        """The latest sub-round t <= tau with t = c - 1 mod 3, where c is
+        face fi's colour: the face's inferences complete at such t."""
+        return tau - (tau - lattice.faces[fi].color + 1) % 3
+
+    def fresh(fi: int, t: int) -> list[int]:
+        """The inference of face fi at anchor t: its (c-1)-checks at t XOR
+        its (c+1)-checks at t - 1 (before sub-round 0, the Z checks that the
+        reset fixes, which have no records)."""
+        return records(fi, t, check_records) + records(fi, t - 1, check_records)
+
+    def face_value(fi: int, tau: int) -> Optional[list[int]]:
+        """Records whose XOR is face fi's stabiliser value after sub-round
+        tau, or None while that value is random (see the module docstring)."""
+        c = lattice.faces[fi].color
+        t = anchor(fi, tau)
+        if t < 0 and c != 2:
+            return None
+        recs = fresh(fi, t) + records(fi, t, bell_records)
+        if tau >= t + 2:
+            recs += records(fi, t + 2, bell_records)
+        return recs
+
+    def generators_for(s: int) -> list:
+        """The operators whose values are known before sub-round s, each as
+        (Pauli codes per vertex, records(t) of its value before sub-round t,
+        for any t = s mod 6 from s on): the faces that are colour 2 or have
+        an inference at sub-round 1 or later, and the checks of sub-round
+        s - 1, which before sub-round 0 are the Z checks the reset fixes."""
+        color = (s - 1) % 3
+        code = _CODE[PAULI_OF_COLOR[color]]
+        checks = [
+            (
+                {lattice.edges[e].u: code, lattice.edges[e].v: code},
+                lambda t, e=e: check_records[t - 1][e] if t > 0 else [],
+            )
+            for e in edges_by_color[color]
+        ]
+        faces = [
+            (
+                dict.fromkeys(face_vertices[fi], _CODE[PAULI_OF_COLOR[f.color]]),
+                lambda t, fi=fi: face_value(fi, t - 1),
+            )
+            for fi, f in enumerate(lattice.faces)
+            if f.color == 2 or anchor(fi, s - 1) >= 1
+        ]
+        # the column order picks the solver's solution among equivalent ones
+        return faces + checks if s == 0 else checks + faces
+
     logicals = find_logical_observables(lattice)
     observables = _track_observables(
-        lattice, logicals, check_records, edge_records, final_rec_of, n_sub,
-        nonlocal_set, edges_by_color, face_vertices, face_edges_by_color,
+        lattice, logicals, n_sub, nonlocal_set, generators_for, final_rec_of
     )
 
     program = CircuitProgram(
@@ -393,81 +465,36 @@ def build_memory_circuit(
         n_records=n_records,
     )
 
-    def minus_edges(fi: int) -> list[int]:
-        c = lattice.faces[fi].color
-        return face_edges_by_color[fi][(c - 1) % 3]
-
-    def plus_edges(fi: int) -> list[int]:
-        c = lattice.faces[fi].color
-        return face_edges_by_color[fi][(c + 1) % 3]
-
-    def detector_records(fi: int, s: int) -> list[int]:
-        """Record set comparing the face's inference anchored at s with the
-        previous one.  A Bell-mediated check leaves a branch Pauli on its data
-        qubits that is resolved by the halves' X readouts; events whose branch
-        flip falls between the two inferences contribute those records."""
-        recs: list[int] = []
-        if s >= 0:
-            for e in minus_edges(fi):
-                recs.extend(check_records[s][e])
-        if s - 1 >= 0:
-            for e in plus_edges(fi):
-                recs.extend(check_records[s - 1][e])
-                recs.extend(edge_records[s - 1][e])
-        if s - 3 >= 0:
-            for e in minus_edges(fi):
-                recs.extend(check_records[s - 3][e])
-                recs.extend(edge_records[s - 3][e])
-        if s - 4 >= 0:
-            for e in plus_edges(fi):
-                recs.extend(check_records[s - 4][e])
-        return recs
-
+    # each detector compares a face's inference with its value just before;
+    # the transversal Z readout closes the Z-type colour-2 faces
     candidates: list[tuple[int, int, list[int]]] = []  # (face, anchor, records)
     for fi, f in enumerate(lattice.faces):
-        c = f.color
-        anchor0 = (c - 1) % 3
-        for s in range(anchor0, n_sub, 3):
-            recs = detector_records(fi, s)
-            if not recs:
-                continue
-            if len(set(recs)) != len(recs):
-                raise CircuitError("duplicate record in a detector")
-            candidates.append((fi, s, recs))
-        if c == 2:
-            # closing: compare the last complete inference against the
-            # stabilizer value reconstructed from the transversal readout;
-            # only the anchor-colour events' branch flips reach it oddly
-            s_last = n_sub - 2
-            recs = [final_rec_of[v] for v in face_vertices[fi]]
-            for e in minus_edges(fi):
-                recs.extend(check_records[s_last][e])
-                recs.extend(edge_records[s_last][e])
-            for e in plus_edges(fi):
-                recs.extend(check_records[s_last - 1][e])
-            candidates.append((fi, n_sub, recs))
+        for s in range((f.color - 1) % 3, n_sub, 3):
+            before = face_value(fi, s - 1)
+            if before is not None:
+                candidates.append((fi, s, fresh(fi, s) + before))
+        if f.color == 2:
+            readout = [final_rec_of[v] for v in face_vertices[fi]]
+            candidates.append((fi, n_sub, readout + face_value(fi, n_sub - 1)))
+    candidates.sort(key=lambda cand: (cand[1], cand[0]))
 
     random = _random_parities(
         program,
         [recs for _, _, recs in candidates] + [obs.records for obs in observables],
     )
-    detectors: list[Detector] = []
     for (fi, s, recs), bad in zip(candidates, random.tolist()):
-        if not bad:
-            detectors.append(Detector(tuple(sorted(recs)), face=fi, anchor=s))
-        elif s == n_sub:
-            raise CircuitError(f"closing detector of face {fi} is not deterministic")
-        elif s - 4 >= 0:
+        if bad:
             raise CircuitError(
-                f"bulk detector of face {fi} at sub-round {s} is not "
-                "deterministic; compilation bug"
+                f"detector of face {fi} at sub-round {s} is not deterministic"
             )
+        if len(set(recs)) != len(recs):
+            raise CircuitError("duplicate record in a detector")
     for obs, bad in zip(observables, random[len(candidates) :].tolist()):
         if bad:
             raise CircuitError(f"observable {obs.index} is not deterministic")
-
-    detectors.sort(key=lambda d: (d.anchor, d.face))
-    program.detectors = tuple(detectors)
+    program.detectors = tuple(
+        Detector(tuple(sorted(recs)), face=fi, anchor=s) for fi, s, recs in candidates
+    )
 
     if not program.measurement_index_ok():
         raise CircuitError("detector or observable references a missing record")
@@ -477,98 +504,32 @@ def build_memory_circuit(
 def _track_observables(
     lattice: Lattice,
     logicals: LogicalOperatorSet,
-    check_records: list[dict[int, list[int]]],
-    edge_records: list[dict[int, list[int]]],
-    final_rec_of: dict[int, int],
     n_sub: int,
     nonlocal_set: set[int],
-    edges_by_color: dict[int, list[int]],
-    face_vertices: list[set[int]],
-    face_edges_by_color: list[dict[int, list[int]]],
+    generators_for,
+    final_rec_of: dict[int, int],
 ) -> list[Observable]:
     """Propagate each Z-type representative through the measurement schedule.
 
     A representative must commute with every upcoming pair measurement (both
     halves, for Bell-mediated checks) or the measurement would destroy it.
-    Before each sub-round the representative is repaired by multiplying in
-    operators whose values are already known: the previous sub-round's
-    checks, face stabilizers with a completed inference, and (at time zero)
-    Z-type operators fixed by the initialisation.  Every multiplication XORs
-    the generator's records into the observable.  Before each Z sub-round
-    the repair also forces the representative back to Z type so the final
-    transversal readout can evaluate it.
+    Before each sub-round s the representative is repaired by multiplying in
+    generators_for(s): operators whose values are already known, each with
+    the records of its value, which the multiplication XORs into the
+    observable.  Before each Z sub-round the repair also forces the
+    representative back to Z type so the final transversal readout can
+    evaluate it.
     """
     n = lattice.n_vertices
 
-    def face_available(fi: int, s: int) -> bool:
-        c = lattice.faces[fi].color
-        if c == 2:
-            return True
-        return s >= (3 if c == 1 else 2) + 1
-
-    def face_records(fi: int, s: int) -> list[int]:
-        """Records whose XOR is the face stabilizer's value at repair time s.
-
-        Uses the latest complete inference plus the Bell-branch X readouts of
-        boundary events whose virtual flip lands between that inference and
-        the repair; flips inside the inference window cancel pairwise.
-        """
-        c = lattice.faces[fi].color
-        bm = face_edges_by_color[fi][(c - 1) % 3]
-        bp = face_edges_by_color[fi][(c + 1) % 3]
-        if c == 2 and s == 1:
-            recs = []
-            for e in bp:
-                recs.extend(edge_records[0][e])
-            return recs
-        t = s - 1
-        while t % 3 != (c - 1) % 3 or t < 1:
-            t -= 1
-            if t < 1:
-                raise CircuitError("face stabilizer value requested too early")
-        recs = []
-        for e in bm:
-            recs.extend(check_records[t][e])
-            recs.extend(edge_records[t][e])
-        for e in bp:
-            recs.extend(check_records[t - 1][e])
-        if (s - 1) % 3 == (c + 1) % 3:
-            for e in bp:
-                recs.extend(edge_records[s - 1][e])
-        return recs
-
-    # generator = (pauli codes per vertex, record supplier); values must be
-    # known at the repair time: the previous sub-round's checks, inferred
-    # face stabilizers, or (at time zero) operators fixed by initialisation
-    def generators_for(s: int):
-        gens: list[tuple[dict[int, int], tuple]] = []
-        if s == 0:
-            for fi, f in enumerate(lattice.faces):
-                if f.color == 2:
-                    gens.append(
-                        ({q: _CODE["Z"] for q in face_vertices[fi]}, ("none",))
-                    )
-            for e in edges_by_color[2]:
-                u, v = lattice.edges[e].u, lattice.edges[e].v
-                gens.append(({u: _CODE["Z"], v: _CODE["Z"]}, ("none",)))
-            return gens
-        prev_color = (s - 1) % 3
-        pcode = _CODE[PAULI_OF_COLOR[prev_color]]
-        for e in edges_by_color[prev_color]:
-            u, v = lattice.edges[e].u, lattice.edges[e].v
-            gens.append(({u: pcode, v: pcode}, ("edge", e)))
-        for fi, f in enumerate(lattice.faces):
-            if face_available(fi, s):
-                code = _CODE[PAULI_OF_COLOR[f.color]]
-                gens.append(({q: code for q in face_vertices[fi]}, ("face", fi)))
-        return gens
-
     def constraint_rows(s: int):
-        # (qubit, pauli-code) half-constraints; local checks give one joint row
+        # Pauli rows, as ((qubit, code), ...), that an operator must commute
+        # with; a local check gives one joint row, a Bell-mediated check one
+        # row per half
         rows: list[tuple[tuple[int, int], ...]] = []
         c = s % 3
         pcode = _CODE[PAULI_OF_COLOR[c]]
-        for e in edges_by_color[c]:
+        for e in lattice.edges_of_color(c):
             u, v = lattice.edges[e].u, lattice.edges[e].v
             if e in nonlocal_set:
                 rows.append(((u, pcode),))
@@ -577,20 +538,11 @@ def _track_observables(
                 rows.append(((u, pcode), (v, pcode)))
         if s % 6 == 5:
             # the representative's form cycles with period 6; it can be forced
-            # back to Z type only on every other Z sub-round, which is also
-            # where the experiment ends (6R - 1 = 5 mod 6)
-            for q in range(n):
-                rows.append(((q, -1),))  # -1 marks an "x-part must vanish" row
+            # back to Z type, that is to commute with Z on every qubit, only on
+            # every other Z sub-round, which is also where the experiment ends
+            # (6R - 1 = 5 mod 6)
+            rows.extend(((q, _CODE["Z"]),) for q in range(n))
         return rows
-
-    def gen_records(spec: tuple, s: int) -> list[int]:
-        if spec[0] == "none":
-            return []
-        if spec[0] == "edge":
-            return check_records[s - 1][spec[1]]
-        if spec[0] == "face":
-            return face_records(spec[1], s)
-        raise CircuitError(f"unknown generator record spec {spec}")
 
     # The first six repairs interlock (early generators are scarce), so they
     # are solved jointly: choosing generator subsets r_0..r_5 is a triangular
@@ -601,12 +553,12 @@ def _track_observables(
     solvers: dict[int, tuple] = {}
 
     def solver_for(s: int):
-        """(solver, generators (t, codes, spec), constraint rows) for the
+        """(solver, generators (t, codes, records), constraint rows) for the
         repair at sub-round s, or for the whole window when s < window."""
         key = -1 if s < window else s % 6
         if key not in solvers:
             subs = range(window) if s < window else (s,)
-            gens = [(t, codes, spec) for t in subs for codes, spec in generators_for(t)]
+            gens = [(t, *gen) for t in subs for gen in generators_for(t)]
             rows = _Constraints([(t, row) for t in subs for row in constraint_rows(t)])
             solver = gf2.ColumnSolver(rows.matrix([(t, codes) for t, codes, _ in gens]))
             solvers[key] = (solver, gens, rows)
@@ -625,7 +577,7 @@ def _track_observables(
                 where = "through warmup" if s < window else f"at sub-round {s}"
                 raise CircuitError(f"observable {k} cannot be kept commuting {where}")
             for j in gf2.bits(x):
-                t, codes, spec = gens[j]
+                t, codes, value = gens[j]
                 for q, code in codes.items():
                     new = op.get(q, 0) ^ code
                     if new:
@@ -633,9 +585,7 @@ def _track_observables(
                     else:
                         op.pop(q, None)
                 # one single-sub-round solver serves every s of its s % 6
-                records.symmetric_difference_update(
-                    gen_records(spec, t if s < window else s)
-                )
+                records.symmetric_difference_update(value(t if s < window else s))
         bad = [q for q, code in op.items() if code != _CODE["Z"]]
         if bad:
             raise CircuitError(
@@ -647,17 +597,8 @@ def _track_observables(
     return observables
 
 
-def _entry(code: int, marker: int) -> int:
-    """1 when a generator's Pauli code on a qubit breaks a half-constraint:
-    marker -1 asks for no x part, any other marker for commuting with that
-    Pauli code."""
-    if marker == -1:
-        return code & 1  # x bit
-    return 0 if code in (0, marker) else 1
-
-
 class _Constraints:
-    """Constraint rows, each a (sub-round, ((qubit, marker), ...)) pair,
+    """Constraint rows, each a (sub-round, ((qubit, pauli code), ...)) pair,
     indexed by qubit once, so that the rows an operator breaks cost its
     support rather than every row."""
 
@@ -665,16 +606,18 @@ class _Constraints:
         self.rows = rows
         self.by_qubit: dict[int, list[tuple[int, int, int]]] = {}
         for i, (s, row) in enumerate(rows):
-            for q, marker in row:
-                self.by_qubit.setdefault(q, []).append((i, s, marker))
+            for q, pauli in row:
+                self.by_qubit.setdefault(q, []).append((i, s, pauli))
 
     def _broken(self, codes: dict[int, int], t: int) -> int:
-        """Rows of sub-round t or later whose entries for codes XOR to 1,
-        as an int whose bit i is row i."""
+        """Rows of sub-round t or later with which codes anticommutes, as an
+        int whose bit i is row i."""
         odd = 0
         for q, code in codes.items():
-            for i, s, marker in self.by_qubit.get(q, ()):
-                if s >= t and _entry(code, marker):
+            for i, s, pauli in self.by_qubit.get(q, ()):
+                # two single-qubit Paulis (bit0 X, bit1 Z) anticommute when
+                # their symplectic product is odd
+                if s >= t and ((code & pauli >> 1) ^ (code >> 1 & pauli)) & 1:
                     odd ^= 1 << i
         return odd
 

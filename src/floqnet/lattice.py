@@ -496,7 +496,9 @@ def _forced_colors(lat: Lattice, ef: list[list[int]]) -> list[int]:
                     stack.append((g, fi))
                 elif colors[g] != want:
                     raise NotThreeColorableError(
-                        "exhaustive search found no proper 3-colouring of the faces"
+                        f"no proper 3-colouring of the faces: face {fi} forces "
+                        f"colour {want} on its neighbour {g}, which has colour "
+                        f"{colors[g]}"
                     )
     return colors
 
@@ -520,55 +522,40 @@ def _dualize_triangulation(
     and the fan of triangles around each point becomes a face.  Face colours
     are taken from ``point_color`` when given, else left unset.
     """
-    side_owner: dict[tuple[Point, Point], tuple[int, int]] = {}
-    for t, (p, q, r) in enumerate(triangles):
-        for s, (a, b) in enumerate(((p, q), (q, r), (r, p))):
-            if (a, b) in side_owner:
-                raise LatticeError("triangulation orientation is incoherent")
-            side_owner[(a, b)] = (t, s)
-
-    edge_ids: dict[frozenset, int] = {}
-    edge_list: list[Edge] = []
+    edge_of: dict[tuple[Point, Point], int] = {}  # directed side -> edge id
+    ends: list[list[int]] = []  # per edge, its triangles in order of first side
     rot_order: list[tuple[int, int, int]] = []
     for t, (p, q, r) in enumerate(triangles):
-        eids = []
-        for a, b in ((p, q), (q, r), (r, p)):
-            if (b, a) not in side_owner:
-                raise LatticeError(f"triangulation is not closed at side {(a, b)}")
-            key = frozenset(((a, b), (b, a)))
-            if key not in edge_ids:
-                t2, _ = side_owner[(b, a)]
-                edge_ids[key] = len(edge_list)
-                edge_list.append(Edge(t, t2))
-            eids.append(edge_ids[key])
+        for side in ((p, q), (q, r), (r, p)):
+            if side in edge_of:
+                raise LatticeError("triangulation orientation is incoherent")
+            e = edge_of.get(side[::-1])
+            if e is None:
+                e = len(ends)
+                ends.append([])
+            ends[e].append(t)
+            edge_of[side] = e
+        eids = (edge_of[p, q], edge_of[q, r], edge_of[r, p])
         if len(set(eids)) != 3:
             raise LatticeError("degenerate triangle with a repeated side")
-        rot_order.append(tuple(eids))
+        rot_order.append(eids)
+    for a, b in edge_of:
+        if (b, a) not in edge_of:
+            raise LatticeError(f"triangulation is not closed at side {(a, b)}")
 
     rot = RotationSystem(tuple(rot_order))
-    edges = tuple(edge_list)
+    edges = tuple(Edge(*ts) for ts in ends)
     walks = _trace_walks(edges, rot)
 
-    # map every traced face to the point its fan surrounds
-    pair_of_side: dict[tuple[int, int], tuple[Point, Point]] = {}
-    for t, (p, q, r) in enumerate(triangles):
-        for a, b in ((p, q), (q, r), (r, p)):
-            key = frozenset(((a, b), (b, a)))
-            e = edge_ids[key]
-            pair_of_side[(t, e)] = (a, b)
-
+    # a walk enters a triangle through its side i = (corner i, corner i + 1)
+    # and leaves through side i + 1, so every triangle on the walk has corner
+    # i + 1 in common: the point whose fan the walk traces
     faces = []
     seen_points = set()
     for walk in walks:
-        common: Optional[set] = None
-        for d in walk:
-            t = _dart_tail(edges, d)
-            a, b = pair_of_side[(t, d >> 1)]
-            cand = {a, b}
-            common = cand if common is None else (common & cand)
-        if common is None or len(common) != 1:
-            raise LatticeError("face walk does not surround a unique point")
-        point = common.pop()
+        t = _dart_head(edges, walk[0])
+        i = rot_order[t].index(walk[0] >> 1)
+        point = triangles[t][(i + 1) % 3]
         if point in seen_points:
             raise LatticeError(f"point {point} surrounded by two distinct fans")
         seen_points.add(point)

@@ -19,7 +19,6 @@ from floqnet.circuit import (
     MeasurePP,
     Reset,
     _CODE,
-    _entry,
 )
 from floqnet.lattice import (
     Edge,
@@ -107,9 +106,10 @@ class StatevectorSim:
 
 def reference_constraint_matrix(gens, rows) -> list[int]:
     """Every generator against every constraint row, as one column int per
-    generator: bit i of column j is the XOR of the entries of generator
-    j = (t, codes) on the half-constraints of row i = (s, ((qubit, marker),
-    ...)), and 0 where t > s."""
+    generator: bit i of column j is 1 when generator j = (t, codes)
+    anticommutes with the Pauli row i = (s, ((qubit, code), ...)), and 0
+    where t > s.  Two single-qubit Paulis anticommute when both are not the
+    identity and they differ."""
     cols = []
     for t, codes in gens:
         col = 0
@@ -117,8 +117,9 @@ def reference_constraint_matrix(gens, rows) -> list[int]:
             if t > s:
                 continue
             val = 0
-            for q, marker in row:
-                val ^= _entry(codes.get(q, 0), marker)
+            for q, pauli in row:
+                mine = codes.get(q, 0)
+                val ^= mine not in (0, pauli)
             col |= val << i
         cols.append(col)
     return cols

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -26,6 +27,7 @@ from floqnet.lattice import (
     RotationSystem,
     color_faces,
     derive_faces,
+    fine_grain,
     generate_honeycomb_torus,
 )
 from floqnet.partition import partition_code
@@ -297,12 +299,85 @@ def test_build_and_certify_simulate_once(hc, hc_part, monkeypatch):
     c = build_memory_circuit(hc, hc_part, NoiseParams(1e-3, 1e-2), 2)
     assert len(compiles) == 1 and len(runs) == 1
     (candidates,) = runs[0]
-    assert len(candidates) > c.n_detectors + c.n_observables
+    # the compiler certifies exactly its detectors and observables
+    assert len(candidates) == c.n_detectors + c.n_observables
     assert validate_determinism(c).ok
     assert len(runs) == 2
     assert len(runs[1][0]) == c.n_detectors + c.n_observables
     sample_shots(c, 1, 10)
     assert len(compiles) == 1
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_random_candidate_raises(hc, hc_part, monkeypatch, which):
+    # a candidate that certification finds random is a compilation error
+    # naming its face and sub-round, never a silently dropped detector
+    c = build_memory_circuit(hc, hc_part, NoiseParams(1e-3, 1e-2), 2)
+    victim = c.detectors[which]
+    real = sim_module._random_parities
+
+    def one_random(circuit, parity_lists):
+        random = real(circuit, parity_lists)
+        random[which % c.n_detectors] = True
+        return random
+
+    monkeypatch.setattr(sim_module, "_random_parities", one_random)
+    message = f"face {victim.face} at sub-round {victim.anchor} is not deterministic"
+    with pytest.raises(CircuitError, match=message):
+        build_memory_circuit(hc, hc_part, NoiseParams(1e-3, 1e-2), 2)
+
+
+def _program_text(c: CircuitProgram) -> str:
+    """The detectors as (face, anchor, records) and the observables as
+    (index, records), one per line."""
+    lines = [
+        f"detector {d.face} {d.anchor} " + " ".join(map(str, d.records))
+        for d in c.detectors
+    ]
+    lines += [
+        f"observable {o.index} " + " ".join(map(str, o.records))
+        for o in c.observables
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of _program_text under NoiseParams(1e-3, 1e-2), keyed by (lattice,
+# n_qpu, R); hc3 fits one 40-qubit processor, so it compiles as local
+PROGRAM_DIGESTS = {
+    ("hc3", None, 1): "88d93222022e7f982443f75febe0e35f7ba077d7c777a35c6f8d4a5bb8df73dc",
+    ("hc3", None, 2): "ba5b8114290ce7a7a662fae121b68fe29188dfaacb22a6a4333a5a9096c28be0",
+    ("hc3", None, 3): "5099d8b9ade646aa53c27128249f98a245d8aecadc234170b647fa5f6658f0ac",
+    ("hc3", 40, 1): "88d93222022e7f982443f75febe0e35f7ba077d7c777a35c6f8d4a5bb8df73dc",
+    ("hc3", 40, 2): "ba5b8114290ce7a7a662fae121b68fe29188dfaacb22a6a4333a5a9096c28be0",
+    ("hc3", 40, 3): "5099d8b9ade646aa53c27128249f98a245d8aecadc234170b647fa5f6658f0ac",
+    ("hc6", None, 1): "464b37253d19208c893d6247d366c32ebb3d02a294a9213a43cf31f6215cfe17",
+    ("hc6", None, 2): "a089caa7a20ab481a820d68349a1dd767634c9954ea2307485d277782475573f",
+    ("hc6", None, 3): "a9b862e564a95df7ccba6f43d0b750b686ab6b69715ebf0c58f7b3c634b18b95",
+    ("hc6", 40, 1): "cbadb8b66aa836d379af98c490101d2db597026a2d83d3692fff94a7e54a6bcc",
+    ("hc6", 40, 2): "4f73a50c916f61b023c664682b2fca172bc2e97939fbf8f772ab362f8d3adf6e",
+    ("hc6", 40, 3): "c79e3b23a58f5cc5898cec669c66078db893fd36cd8c91c4444da3205d8eaf0f",
+    ("hc9", None, 1): "7cfb5e786a976b6c0998430802c1277d63baf5387c9dc3300178959622cf2a17",
+    ("hc9", None, 2): "817c862d27b26fed9a8ed00a3fc2ab879aa591e31cb8e7624c915e259b921d30",
+    ("hc9", None, 3): "1e0947171c05269b3840ccd89bbbb9f8465629ef45248920975ccec9e52034da",
+    ("hc9", 40, 1): "6c0e4e769cba9c3c413479c4f9a4bd7361b5b5ea26c911ef00493915696fd396",
+    ("hc9", 40, 2): "cf651181a3ebac14d2f84b8c3b46287e682a5acea3a3e12b5fa0d744e151ddeb",
+    ("hc9", 40, 3): "799919492919bbc593332ab64a4bc809dc4ac9fbb52d3ce325bc5df83496d4ad",
+    ("fg3-2", None, 1): "e0b24b4a0302e4dbf239321e31632603d02e641bab7d6cbd88fc811e7ffdf39f",
+    ("fg3-2", None, 2): "8c5bd1a07bd178a605a6a3c1f99c7405915f6f9f28b6f68f44a5870101b23de8",
+    ("fg3-2", None, 3): "46857fb2407cab19efec19166c310ccdf04e3627026ddd7e3690a09af286a89d",
+}
+
+
+@pytest.mark.parametrize("name, n_qpu, rounds", sorted(PROGRAM_DIGESTS, key=str))
+def test_program_digest(name, n_qpu, rounds):
+    if name == "fg3-2":
+        lat = fine_grain(generate_honeycomb_torus(3, 3), 2)
+    else:
+        lat = generate_honeycomb_torus(int(name[2:]), int(name[2:]))
+    part = partition_code(lat, n_qpu) if n_qpu else None
+    c = build_memory_circuit(lat, part, NoiseParams(1e-3, 1e-2), rounds)
+    digest = hashlib.sha256(_program_text(c).encode()).hexdigest()
+    assert digest == PROGRAM_DIGESTS[name, n_qpu, rounds]
 
 
 def _flip_one_pauli(instructions: tuple) -> tuple:

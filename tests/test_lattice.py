@@ -221,6 +221,38 @@ def test_uncoloured_torus_not_three_colorable(L):
         reference_color_faces(lat)
 
 
+
+# the tetrahedron's four outward-oriented triangles dualise to the theta-like
+# trivalent map with 4 vertices, 6 edges and 4 triangular faces
+_TETRAHEDRON = [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]
+
+
+def test_dualize_tetrahedron():
+    lat = _dualize_triangulation(_TETRAHEDRON, name="tet", schlafli=(3, 3))
+    assert (lat.n_vertices, lat.n_edges, lat.n_faces, lat.genus) == (4, 6, 4, 0)
+    assert all(len(f.edges) == 3 for f in lat.faces)
+    validate_lattice(lat, require_colors=False)
+
+
+@pytest.mark.parametrize(
+    "triangles, message",
+    [
+        (_TETRAHEDRON[:3] + [(0, 2, 3)], "incoherent"),
+        (_TETRAHEDRON[:3], "not closed"),
+        ([(0, 1, 0), (1, 0, 2)], "degenerate"),
+        # two tetrahedra that share only point 0, which two fans surround
+        (
+            _TETRAHEDRON
+            + [tuple(4 + v if v else 0 for v in tri) for tri in _TETRAHEDRON],
+            "two distinct fans",
+        ),
+    ],
+)
+def test_dualize_rejects_malformed_triangulation(triangles, message):
+    with pytest.raises(LatticeError, match=message):
+        _dualize_triangulation(triangles, name="bad", schlafli=(3, 3))
+
+
 def test_color_faces_rejects_partial_colouring(tmp_path):
     lat = generate_honeycomb_torus(3, 3)
     faces = tuple(
