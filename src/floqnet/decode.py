@@ -1,4 +1,4 @@
-"""Minimum-weight perfect-matching decoding of detector syndromes.
+"""Minimum-weight matching decoding of detector syndromes.
 
 Defects (odd detectors) are paired along shortest paths of the decoding
 graph; the predicted observable flip is the XOR of edge masks along the
@@ -14,25 +14,27 @@ and the smallest unsigned type that holds a mask: 1.9 MB in all for the 459
 detectors of a 9×9 torus at R = 3, 0.9 GB for 10⁴ detectors; building
 them takes about 22 bytes per entry.
 
-Each shot solves one exact minimum-weight perfect matching on its defects
-and their boundary images: a defect may match its own image at its
-boundary distance, and images pair off among themselves at zero cost.  A
-pair with no connecting path gets no edge, so a defect set that cannot be
-fully paired (odd parity in a component without boundary edges) raises
-``DecodeError``, matching the closed-surface contract.
+Each shot solves one exact maximum-weight matching on its defects alone;
+the defects it leaves unmatched go to the boundary.  With b(i) defect i's
+boundary distance, pairing i with j instead of sending both to the
+boundary gains b(i) + b(j) - d(i, j), so the pairs where d is finite and
+that gain is positive are the edges, at the gain as weight; no other pair
+can beat the boundary.  A defect with no boundary path gets b = big, more
+than the sum of every finite entry of the shot's distance table, so it is
+left unmatched only when no pairing covers it.  Such a defect set (odd
+parity in a component without boundary edges) raises ``DecodeError``,
+matching the closed-surface contract.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from floqnet.matching import MatchingInfeasibleError, min_weight_perfect_matching
+from floqnet.matching import max_weight_matching
 from floqnet.sim import DecodingGraph, ShotBatch
 
 __all__ = [
@@ -109,25 +111,50 @@ class DecoderContext:
             )
 
 
-def _match_defects(d: list[list[float]]) -> list[tuple[int, int]]:
+def _check_bits(a: np.ndarray) -> np.ndarray:
+    """a as an integer array, or DecodeError if an entry is not 0 or 1.
+
+    Integer and bool arrays are returned as they are, after one min/max
+    pass; any other dtype is compared entry by entry and cast to uint8.
+    """
+    if a.dtype.kind not in "biu":
+        if not np.isin(a, (0, 1)).all():
+            raise DecodeError("detector values must be 0 or 1")
+        return a.astype(np.uint8)
+    if a.size and (a.min() < 0 or a.max() > 1):
+        raise DecodeError("detector values must be 0 or 1")
+    return a
+
+
+def _match_defects(d: np.ndarray) -> list[tuple[int, int]]:
     """Exact minimum-weight pairing of m defects, boundary included.
 
-    ``d[j][i]`` is the distance from defect j (the boundary if j == m) to
-    defect i.  Vertex i of the matching graph is defect i and vertex m + i
-    its boundary image.  Edges: defect-defect at the shortest-path weight,
-    defect-own image at the boundary distance, each where a path exists,
-    and image-image at weight 0.  Returns the matches (i, j) with i < j,
-    where j < m is a defect and j == m the boundary.
+    ``d[j, i]`` is the distance from defect j (the boundary if j == m) to
+    defect i, inf where no path exists.  Returns the matches (i, j) with
+    i < j, where j < m is a defect and j == m the boundary.
 
-    Raises MatchingInfeasibleError when no perfect matching exists.
+    Raises DecodeError when a defect can neither pair nor reach the
+    boundary.
     """
     m = len(d) - 1
-    pairs = list(itertools.combinations(range(m), 2))
-    edges = [(i, j, int(d[i][j])) for i, j in pairs if math.isfinite(d[i][j])]
-    edges += [(i, m + i, int(d[m][i])) for i in range(m) if math.isfinite(d[m][i])]
-    edges += [(m + i, m + j, 0) for i, j in pairs]
-    mate = min_weight_perfect_matching(2 * m, edges)
-    return [(i, min(mate[i], m)) for i in range(m) if mate[i] > i]
+    finite = np.isfinite(d)
+    # int64 is exact: entries are path weights of at most 2^20 * n_det, so
+    # 2 * big < 2^63 for tables of up to 10^4 detectors
+    t = np.where(finite, d, 0).astype(np.int64)
+    big = int(t.sum()) + 1
+    b = np.where(finite[m], t[m], big)
+    gain = b[:, None] + b - t[:m]
+    u, v = np.nonzero(np.triu(finite[:m] & (gain > 0), 1))
+    mate = max_weight_matching(m, zip(u.tolist(), v.tolist(), gain[u, v].tolist()))
+    matches = []
+    for i, k in enumerate(mate):
+        if k > i:
+            matches.append((i, k))
+        elif k == -1:
+            if not finite[m, i]:
+                raise DecodeError("odd defect parity in a connected component")
+            matches.append((i, m))
+    return matches
 
 
 def decode_syndrome(
@@ -142,6 +169,7 @@ def decode_syndrome(
         raise DecodeError(
             f"syndrome has shape {syndrome.shape}, expected ({ctx.n_det},)"
         )
+    syndrome = _check_bits(syndrome)
     defects = np.flatnonzero(syndrome)
     if len(defects) == 0:
         return MatchingResult(
@@ -152,13 +180,8 @@ def decode_syndrome(
     if graph.n_edges == 0:
         raise DecodeError("nonempty syndrome on an empty decoding graph")
     src = np.append(defects, ctx.n_det)  # each defect, then the boundary
-    d = ctx.dist[src][:, defects].tolist()
-    try:
-        matches = _match_defects(d)
-    except MatchingInfeasibleError as exc:
-        raise DecodeError(
-            f"odd defect parity in a connected component: {exc}"
-        ) from exc
+    d = ctx.dist[np.ix_(src, defects)]
+    matches = _match_defects(d)
 
     m = len(defects)
     mask_total = 0
@@ -167,7 +190,7 @@ def decode_syndrome(
     for i, j in matches:
         target = int(defects[i])
         mask_total ^= int(ctx.mask[src[j], target])
-        weight += int(d[j][i])
+        weight += int(d[j, i])
         pairs.append((target, int(defects[j])) if j < m else (-1, target))
     prediction = np.zeros(ctx.n_obs, dtype=np.uint8)
     for k in range(ctx.n_obs):
@@ -186,21 +209,22 @@ def decode_batch(
 ):
     """Decode every shot; returns (predictions, per-observable error counts).
 
-    Identical syndromes are decoded once and reused; shot order does not
-    affect any count.
+    Identical syndromes are decoded once and reused, keyed on their packed
+    bits; shot order does not affect any count.
     """
     ctx = context or DecoderContext(graph)
     if batch.detectors.shape[1] != ctx.n_det:
         raise DecodeError("batch detector width does not match the graph")
     if batch.observables.shape[1] != ctx.n_obs:
         raise DecodeError("batch observable width does not match the graph")
+    det = _check_bits(batch.detectors)
     preds = np.zeros((batch.shots, ctx.n_obs), dtype=np.uint8)
     cache: dict[bytes, np.ndarray] = {}
-    for s in range(batch.shots):
-        key = batch.detectors[s].tobytes()
+    for s, row in enumerate(np.packbits(det, axis=1)):
+        key = row.tobytes()
         hit = cache.get(key)
         if hit is None:
-            hit = decode_syndrome(graph, batch.detectors[s], ctx).prediction
+            hit = decode_syndrome(graph, det[s], ctx).prediction
             cache[key] = hit
         preds[s] = hit
     errors = (preds != batch.observables).sum(axis=0)

@@ -6,29 +6,16 @@ trees from free vertices, shrink odd cycles into blossoms, expand zero-dual
 T-blossoms, and adjust dual variables between events.  Integer weights keep
 every dual variable integral (duals are stored doubled), so optimality is
 exact, not floating-point.
-
-``min_weight_perfect_matching`` reduces minimisation to maximisation with a
-large per-edge offset, which also forces maximum cardinality.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = [
-    "max_weight_matching",
-    "min_weight_perfect_matching",
-    "MatchingInfeasibleError",
-]
-
-
-class MatchingInfeasibleError(RuntimeError):
-    pass
+__all__ = ["max_weight_matching"]
 
 
 def max_weight_matching(n: int, edges):
-    """Maximum-weight matching among those of maximum cardinality; returns
-    the mate array (mate[v] = partner or -1).
+    """Maximum-weight matching; returns the mate array (mate[v] = partner
+    or -1).
 
     ``edges`` is a sequence of (u, v, weight) with integer weights.
     """
@@ -335,21 +322,22 @@ def max_weight_matching(n: int, edges):
                             bestedge[w] = k
             if augmented:
                 break
-            # compute the dual adjustment
-            deltatype = -1
-            delta = deltaedge = deltablossom = None
+            # compute the dual adjustment; delta1, the least vertex dual,
+            # brings the free vertices' duals to zero and ends the search
+            deltatype = 1
+            delta = min(dualvar[:n])
+            deltaedge = deltablossom = None
             for v in range(n):
                 if label[inblossom[v]] == 0 and bestedge[v] != -1:
                     d = slack(bestedge[v])
-                    if deltatype == -1 or d < delta:
+                    if d < delta:
                         delta = d
                         deltatype = 2
                         deltaedge = bestedge[v]
             for b in range(2 * n):
                 if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
-                    kslack = slack(bestedge[b])
-                    d = kslack // 2
-                    if deltatype == -1 or d < delta:
+                    d = slack(bestedge[b]) // 2
+                    if d < delta:
                         delta = d
                         deltatype = 3
                         deltaedge = bestedge[b]
@@ -358,15 +346,11 @@ def max_weight_matching(n: int, edges):
                     blossombase[b] >= 0
                     and blossomparent[b] == -1
                     and label[b] == 2
-                    and (deltatype == -1 or dualvar[b] < delta)
+                    and dualvar[b] < delta
                 ):
                     delta = dualvar[b]
                     deltatype = 4
                     deltablossom = b
-            if deltatype == -1:
-                # no further progress possible
-                deltatype = 1
-                delta = max(0, min(dualvar[:n]))
             for v in range(n):
                 lbl = label[inblossom[v]]
                 if lbl == 1:
@@ -409,21 +393,3 @@ def max_weight_matching(n: int, edges):
         if mate[v] != -1:
             out[v] = endpoint[mate[v]]
     return out
-
-
-def min_weight_perfect_matching(n: int, edges):
-    """Minimum-weight perfect matching on integer-weighted edges.
-
-    Raises MatchingInfeasibleError if no perfect matching exists.
-    """
-    if n % 2 != 0:
-        raise MatchingInfeasibleError("odd number of vertices")
-    if n == 0:
-        return []
-    wmax = max([1] + [abs(int(w)) for (_, _, w) in edges])
-    big = 2 * n * wmax + 1
-    flipped = [(i, j, big - int(w)) for (i, j, w) in edges]
-    mate = max_weight_matching(n, flipped)
-    if any(m == -1 for m in mate):
-        raise MatchingInfeasibleError("graph admits no perfect matching")
-    return mate

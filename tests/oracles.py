@@ -237,6 +237,28 @@ def brute_force_min_weight(weights, syndromes, obs_masks, target_syndrome, max_s
     return best, masks
 
 
+def reference_pairing_cost(d) -> float:
+    """Least cost of pairing each of m defects with another or sending it
+    to the boundary, by a DP over defect subsets; inf when no choice is
+    finite.
+
+    ``d[j][i]`` is the distance from defect j (the boundary if j == m) to
+    defect i, inf where no path exists.  The lowest defect of each subset
+    either goes to the boundary or pairs with one of the others.
+    """
+    m = len(d) - 1
+    best = [0.0] * (1 << m)
+    for mask in range(1, 1 << m):
+        i = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << i)
+        cost = d[m][i] + best[rest]
+        for j in range(i + 1, m):
+            if rest >> j & 1:
+                cost = min(cost, d[i][j] + best[rest & ~(1 << j)])
+        best[mask] = cost
+    return best[-1]
+
+
 def _annotation_rng(seed: int, ann: int, chunk: int) -> np.random.Generator:
     """A fresh generator for noise annotation ann in shot chunk chunk."""
     key = np.array(

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from floqnet.circuit import NoiseParams, build_memory_circuit
 from floqnet.decode import (
     DecodeError,
     DecoderContext,
+    _match_defects,
     decode_batch,
     decode_syndrome,
     shortest_graphlike_error,
 )
 from floqnet.lattice import generate_honeycomb_torus
-from floqnet.sim import DecodingGraph, sample_shots, extract_decoding_graph
-from oracles import brute_force_min_weight
+from floqnet.sim import DecodingGraph, ShotBatch, sample_shots, extract_decoding_graph
+from oracles import brute_force_min_weight, reference_pairing_cost
 
 
 def _graph(n_det, mechanisms, n_obs=2):
@@ -190,12 +192,58 @@ def _empty_graph(n_det):
         (_empty_graph(3), [0, 1, 0]),
         # odd defect count in the component {0, 1}, which has no boundary edge
         (_graph(3, [(0, 1, 1, 1), (2, -1, 1, 0)]), [1, 0, 1]),
+        (_graph(3, _CHAIN), [2, 0, 0]),
+        (_graph(3, _CHAIN), [0.5, 0, 0]),
+        (_graph(3, _CHAIN), [-1, 0, 0]),
     ],
-    ids=["wrong-length", "0-d", "2-d", "empty-graph", "odd-component"],
+    ids=[
+        "wrong-length", "0-d", "2-d", "empty-graph", "odd-component",
+        "two", "half", "minus-one",
+    ],
 )
 def test_decode_syndrome_rejects_bad_input(graph, syndrome):
     with pytest.raises(DecodeError):
-        decode_syndrome(graph, np.array(syndrome, dtype=np.uint8))
+        decode_syndrome(graph, np.asarray(syndrome))
+
+
+def test_decode_batch_rejects_non_binary_detectors():
+    graph = _graph(3, _CHAIN)
+    detectors = np.array([[1, 0, 0], [2, 0, 0]], dtype=np.uint8)
+    batch = ShotBatch(2, 0, detectors, np.zeros((2, 2), dtype=np.uint8))
+    with pytest.raises(DecodeError):
+        decode_batch(graph, batch)
+
+
+# a distance: 1..20, or inf (no path) about one time in six
+_DIST = st.integers(min_value=1, max_value=24).map(lambda x: math.inf if x > 20 else x)
+
+
+@st.composite
+def _defect_tables(draw):
+    """Symmetric distance tables of 1-8 defects, boundary row last; more
+    than half of the defects have no boundary path."""
+    m = draw(st.integers(min_value=1, max_value=8))
+    d = np.zeros((m + 1, m))
+    for i, j in itertools.combinations(range(m), 2):
+        d[i, j] = d[j, i] = draw(_DIST)
+    bound = st.one_of(_DIST, st.just(math.inf))
+    d[m] = draw(st.lists(bound, min_size=m, max_size=m))
+    return d
+
+
+@given(_defect_tables())
+@settings(max_examples=300, deadline=None)
+def test_match_defects_against_subset_dp(d):
+    m = len(d) - 1
+    want = reference_pairing_cost(d.tolist())
+    if math.isinf(want):
+        with pytest.raises(DecodeError):
+            _match_defects(d)
+        return
+    matches = _match_defects(d)
+    covered = sorted(x for i, j in matches for x in ((i, j) if j < m else (i,)))
+    assert covered == list(range(m))
+    assert sum(d[j, i] for i, j in matches) == want
 
 
 @st.composite

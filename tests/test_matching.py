@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floqnet.matching import (
-    MatchingInfeasibleError,
-    max_weight_matching,
-    min_weight_perfect_matching,
-)
+from floqnet.matching import max_weight_matching
+
+
+def _min_perfect(n, edges):
+    """Minimum-weight perfect matching through max_weight_matching on the
+    offset weights big - w: big makes every perfect matching outweigh every
+    smaller one."""
+    wmax = max([1] + [abs(w) for (_, _, w) in edges])
+    big = 2 * n * wmax + 1
+    mate = max_weight_matching(n, [(i, j, big - w) for (i, j, w) in edges])
+    assert all(m != -1 for m in mate), "no perfect matching"
+    return mate
 
 
 def _brute_min_perfect(n, weights):
@@ -66,7 +73,7 @@ def test_exhaustive_small_complete(n):
     rng = np.random.default_rng(n)
     for trial in range(60):
         weights, edges = _random_complete(rng, n)
-        mate = min_weight_perfect_matching(n, edges)
+        mate = _min_perfect(n, edges)
         assert all(mate[mate[v]] == v and mate[v] != v for v in range(n))
         best, _ = _brute_min_perfect(n, weights)
         assert _matching_cost(mate, weights) == best
@@ -75,12 +82,17 @@ def test_exhaustive_small_complete(n):
 def test_sparse_with_infeasible():
     # path of 3 edges on 4 vertices has a unique perfect matching
     edges = [(0, 1, 5), (1, 2, 1), (2, 3, 5)]
-    mate = min_weight_perfect_matching(4, edges)
+    mate = _min_perfect(4, edges)
     assert mate == [1, 0, 3, 2]
-    with pytest.raises(MatchingInfeasibleError):
-        min_weight_perfect_matching(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
-    with pytest.raises(MatchingInfeasibleError):
-        min_weight_perfect_matching(3, [(0, 1, 1)])
+    # a star and an odd vertex count leave vertices unmatched
+    mate = max_weight_matching(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+    assert mate.count(-1) == 2
+    assert max_weight_matching(3, [(0, 1, 1)]) == [1, 0, -1]
+
+
+def test_max_weight_does_not_force_cardinality():
+    # the middle edge alone outweighs the two outer ones
+    assert max_weight_matching(4, [(0, 1, 1), (1, 2, 3), (2, 3, 1)]) == [-1, 2, 1, -1]
 
 
 def test_blossom_structure_triangle_pair():
@@ -94,7 +106,7 @@ def test_blossom_structure_triangle_pair():
         (4, 5, 2),
         (3, 5, 2),
     ]
-    mate = min_weight_perfect_matching(6, edges)
+    mate = _min_perfect(6, edges)
     assert all(mate[mate[v]] == v for v in range(6))
     cost = sum(w for (i, j, w) in edges if mate[i] == j and i < j)
     weights = [[None] * 6 for _ in range(6)]
@@ -113,7 +125,7 @@ def test_matches_networkx_on_random_complete(half_n, seed):
     n = 2 * half_n
     rng = np.random.default_rng(seed)
     weights, edges = _random_complete(rng, n, wmax=50)
-    mate = min_weight_perfect_matching(n, edges)
+    mate = _min_perfect(n, edges)
     g = nx.Graph()
     big = 2 * n * 50 + 1
     for i, j, w in edges:
@@ -144,7 +156,7 @@ def test_max_weight_matches_networkx_on_sparse(n_half, seed, density):
     g = nx.Graph()
     for i, j, w in edges:
         g.add_edge(i, j, weight=w)
-    ref = nx.max_weight_matching(g, maxcardinality=True)
+    ref = nx.max_weight_matching(g, maxcardinality=False)
     wmap = {(min(i, j), max(i, j)): w for i, j, w in edges}
     ref_w = sum(wmap[(min(i, j), max(i, j))] for i, j in ref)
     assert got == ref_w
@@ -154,7 +166,7 @@ def test_large_random_instance_against_networkx():
     rng = np.random.default_rng(123)
     n = 40
     weights, edges = _random_complete(rng, n, wmax=1000)
-    mate = min_weight_perfect_matching(n, edges)
+    mate = _min_perfect(n, edges)
     g = nx.Graph()
     big = 2 * n * 1000 + 1
     for i, j, w in edges:
