@@ -67,9 +67,11 @@ class DecoderContext:
     a shortest path from r to v (inf where none exists; exact in float64),
     and ``mask[r, v]`` the observable mask along the path that r's
     shortest-path tree traces to v.  Actual weights are ``dist / scale``.
+    It keeps its graph: the decoders raise DecodeError given another one.
     """
 
     def __init__(self, graph: DecodingGraph):
+        self.graph = graph
         self.n_det = graph.n_detectors
         self.n_obs = graph.n_observables
         n = self.n_det + 1
@@ -157,13 +159,24 @@ def _match_defects(d: np.ndarray) -> list[tuple[int, int]]:
     return matches
 
 
+def _context(graph: DecodingGraph, context: DecoderContext | None) -> DecoderContext:
+    """context, or a new one; DecodeError if it was built from another graph."""
+    if context is not None and context.graph is not graph:
+        raise DecodeError("the decoder context was built from another graph")
+    return context or DecoderContext(graph)
+
+
 def decode_syndrome(
     graph: DecodingGraph,
     syndrome: np.ndarray,
     context: DecoderContext | None = None,
 ) -> MatchingResult:
     """Match the syndrome's defects and predict the observable flips."""
-    ctx = context or DecoderContext(graph)
+    return _decode(_context(graph, context), syndrome)
+
+
+def _decode(ctx: DecoderContext, syndrome: np.ndarray) -> MatchingResult:
+    """decode_syndrome on the context's graph."""
     syndrome = np.asarray(syndrome)
     if syndrome.shape != (ctx.n_det,):
         raise DecodeError(
@@ -177,7 +190,7 @@ def decode_syndrome(
             matched_pairs=(),
             total_weight=0.0,
         )
-    if graph.n_edges == 0:
+    if ctx.graph.n_edges == 0:
         raise DecodeError("nonempty syndrome on an empty decoding graph")
     src = np.append(defects, ctx.n_det)  # each defect, then the boundary
     d = ctx.dist[np.ix_(src, defects)]
@@ -212,7 +225,7 @@ def decode_batch(
     Identical syndromes are decoded once and reused, keyed on their packed
     bits; shot order does not affect any count.
     """
-    ctx = context or DecoderContext(graph)
+    ctx = _context(graph, context)
     if batch.detectors.shape[1] != ctx.n_det:
         raise DecodeError("batch detector width does not match the graph")
     if batch.observables.shape[1] != ctx.n_obs:
@@ -224,7 +237,7 @@ def decode_batch(
         key = row.tobytes()
         hit = cache.get(key)
         if hit is None:
-            hit = decode_syndrome(graph, det[s], ctx).prediction
+            hit = _decode(ctx, det[s]).prediction
             cache[key] = hit
         preds[s] = hit
     errors = (preds != batch.observables).sum(axis=0)

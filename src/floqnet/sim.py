@@ -17,32 +17,36 @@ it anticommutes with, and the caller's injections XOR single bits in just
 before or just after an op.  Detector and observable parities are XORs of
 record rows (a record listed twice counts once), taken at the end in
 slices of bounded size.  The three callers differ only in their columns
-and injections.  The sampler's columns are shots and its injections the
-noise events (see below).  Graph extraction's columns are atoms: an X and
-a Z per qubit of every noisy depolarising cell, and, for every product
-with a noisy outcome, a Pauli on its first qubit that anticommutes with
-it there, just before and just after the measurement.  Determinism
-certification's columns are stabiliser gauges (see _random_parities): a
-parity of records is deterministic in the noiseless circuit exactly when
-no gauge flips it.
+and injections.  The sampler's columns are event bits (see below).  Graph
+extraction's columns are atoms: an X and a Z per qubit of every noisy
+depolarising cell, and, for every product with a noisy outcome, a Pauli on
+its first qubit that anticommutes with it there, just before and just
+after the measurement.  Determinism certification's columns are
+stabiliser gauges (see _random_parities): a parity of records is
+deterministic in the noiseless circuit exactly when no gauge flips it.
 
-The sampler draws each chunk's noise in one batched pass.  Every noisy
-Depolarize1, Depolarize2 or MeasurePP is one stream with its own Philox
-generator, kept on the program and re-keyed for each chunk by assigning
-its state, far cheaper than building a generator.  Streams with
-p < _DENSE_P draw one block of uniforms each into one shared buffer, and
-one in-place pass turns the whole buffer into geometric gaps, running
-sums per stream and event positions; the rare stream whose block ends
-short of its cells continues alone, block by block, and a stream with
-p >= _DENSE_P draws one uniform per cell.  Pauli terms are drawn only
-for streams with events.  One vectorised decode turns every event into
-int32 (slot, row, column) injections, each placed just before the first
-later op that clears or reads frame rows, so the kernel flips bits once
-per such op rather than once per noise op.  The stage works in place
-and frees its event-sized arrays as it goes, so that its transient
-memory stays below the propagation stage's, where a chunk's memory
-peaks.  The draws are those of the unpacked per-stream reference loop in
-the test suite, whose output the sampler equals bit for bit.
+Sampling rests on linearity over GF(2): what a noise event flips depends
+only on the circuit, and a shot's bits are the XOR of its events'.  An
+event sets event bits, each a single-bit injection: X or Z on one qubit
+of a depolarising cell, or the flip of one record.  The first call on a
+program runs one kernel column per stretch of event bits, as for
+extraction's atoms, and keeps the parities each bit flips as the event
+table (see _Streams).  A chunk then draws its events and np.add.at counts
+each (shot, parity) pair of their table rows into the uint8 output; the
+low bit of a count is the parity.
+
+Every noisy Depolarize1, Depolarize2 or MeasurePP is one stream with its
+own Philox generator, kept on the program and re-keyed for each chunk by
+assigning its state, far cheaper than building a generator.  Streams
+with p < _DENSE_P draw one block of uniforms each into one shared
+buffer, and one in-place pass turns the whole buffer into geometric
+gaps, running sums per stream and event positions; the rare stream whose
+block ends short of its cells continues alone, block by block, and a
+stream with p >= _DENSE_P draws one uniform per cell.  Pauli terms are
+drawn only for streams with events, and one vectorised decode turns
+every event into its event bits.  The draws are those of the unpacked
+per-stream reference loop in the test suite, whose output the sampler
+equals bit for bit.
 
 Graph extraction keeps the atoms' detectors as a CSR with one observable
 mask per column.  Columns on one frame row between the same two ops that
@@ -95,6 +99,7 @@ __all__ = [
 _CHUNK = 4096
 _DENSE_P = 0.05
 _SLICE_ROWS = 2048  # record rows gathered at once for detector parities
+_EVENT_BATCH = 1 << 13  # event bits whose table rows are added up at once
 _WORD = np.dtype("<u8")  # 64 shots per word, shot 64i + j at bit j of word i
 _CLEAR, _PAULI, _MEASURE = range(3)
 # row c: the bits of noise event code c, least significant first
@@ -314,17 +319,94 @@ def _propagate(circuit: CircuitProgram, ops, slices, width: int, slot, row, col)
     return bits
 
 
-class _Streams(NamedTuple):
-    """The program's noise streams, in op order: one per Depolarize1 or
-    Depolarize2 with p > 0 and a cell, and one per MeasurePP with flip_p > 0
-    and a product.  A stream has cells[s] cells per shot, cell c of shot j
-    being its event position j * cells[s] + c, and its events' injections
-    all go to slot[s], just before the first op from its own on that clears
-    or reads frame rows (the last slot when there is none).
+def _run_columns(circuit: CircuitProgram, ops, slot, row, col, slices):
+    """_propagate over columns, _CHUNK at a time, with no random event:
+    column col[k] gets a one in state row row[k] at slot[k], the injections
+    sorted by column.  Yields each chunk's first column and parity bits."""
+    n_cols = int(col[-1]) + 1 if col.size else 0
+    for lo in range(0, n_cols, _CHUNK):
+        hi = min(lo + _CHUNK, n_cols)
+        first, end = np.searchsorted(col, (lo, hi)).tolist()
+        order = first + np.argsort(slot[first:end], kind="stable")
+        yield lo, _propagate(
+            circuit, ops, slices, hi - lo, slot[order], row[order], col[order] - lo
+        )
 
-    An event's code holds one bit per injection: a Pauli term t (0-based)
-    has code t + 1, an outcome flip code 1, and bit b of the code flips row
-    rows[first[s] + c, b] of the packed state.
+
+def _row_stretches(ops, slot: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Per injection into state row row[k] at slot[k], an id of the stretch
+    of that row between two ops that read or clear it.  Nothing else acts
+    on a frame row, so injections with one id flip the same parities; a
+    record row, injected after its measurement, is one stretch."""
+    n_slots = 2 * len(ops)
+    events = [np.empty(0, dtype=np.int64)]  # row * n_slots + slot just after
+    for i, op in enumerate(ops):
+        if op[0] == _CLEAR:
+            events.append(op[1] * n_slots + 2 * i + 1)
+        elif op[0] == _MEASURE:
+            events.append(op[5] * n_slots + 2 * i + 1)
+    events = np.unique(np.concatenate(events))
+    # the count of events up to an injection tells its stretch only together
+    # with its row: one row's last stretch and the next row's first count
+    # the same events
+    before = np.searchsorted(events, row * n_slots + slot, "right")
+    return row * (events.size + 1) + before
+
+
+def _gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions indptr[r] .. indptr[r + 1] - 1 of each row r in rows,
+    concatenated, and each row's length."""
+    start = indptr[rows]
+    length = indptr[rows + 1] - start
+    offset = np.repeat(start - (np.cumsum(length) - length), length)
+    return offset + np.arange(offset.size), length
+
+
+def _stretch_signatures(circuit: CircuitProgram, ops, slices, slot, row):
+    """(stretch, indptr, par): single-bit injection (slot[k], row[k]), in
+    slot order, flips the parity rows par[indptr[i] : indptr[i + 1]]
+    (ascending; detectors, then observables) of stretch i = stretch[k].  One
+    column per stretch (see _row_stretches) runs through the kernel, and par
+    takes the smallest dtype, unpacked one _run_columns chunk at a time."""
+    _, first, stretch = np.unique(
+        _row_stretches(ops, slot, row), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    run = first[order]  # the first injection of each stretch, in slot order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    stretch = rank[stretch.reshape(-1)]
+    dtype = np.min_scalar_type(slices[-1][1] if slices else 0)
+    counts, pars = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=dtype)]
+    for lo, bits in _run_columns(
+        circuit, ops, slot[run], row[run], np.arange(run.size), slices
+    ):
+        # unpack only the non-zero words: bit j of word w is column 64w + j
+        par, word = np.nonzero(bits)
+        hit, bit = np.nonzero(
+            np.unpackbits(
+                bits[par, word].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+            )
+        )
+        col = 64 * word[hit] + bit
+        par = par[hit]
+        pars.append(par[np.lexsort((par, col))].astype(dtype))
+        counts.append(np.bincount(col, minlength=min(_CHUNK, run.size - lo)))
+    return stretch, np.cumsum(np.concatenate(counts)), np.concatenate(pars)
+
+
+class _Streams(NamedTuple):
+    """The program's noise streams, in op order, and their event table: one
+    stream per Depolarize1 or Depolarize2 with p > 0 and a cell, and one per
+    MeasurePP with flip_p > 0 and a product.  A stream has cells[s] cells
+    per shot, cell c of shot j being its event position j * cells[s] + c.
+
+    An event's code has one bit per injection: a Pauli term t (0-based) has
+    code t + 1, an outcome flip code 1.  Bits 0 and 1 of a Pauli cell's code
+    are X and Z on its last qubit, bits 2 and 3 on its first, and bit 0 of
+    an outcome flip flips its record.  Bit b of cell c of stream s is event
+    bit 4 * (first[s] + c) + b, which flips the parity rows (detectors, then
+    observables) par[indptr[r] : indptr[r + 1]] of r = event_row[bit].
     """
 
     key: np.ndarray  # uint64: annotation index << 24, XOR the chunk for the key
@@ -333,46 +415,51 @@ class _Streams(NamedTuple):
     n_types: list  # 3 or 15 Pauli terms, or 1 for an outcome flip
     cells: np.ndarray  # int64
     first: np.ndarray  # in the index dtype
-    slot: np.ndarray  # int32
-    rows: np.ndarray  # int32 (cells, 4)
-    index: type  # np.int32 where every event position and row index fits
+    index: type  # np.int32 where every event position, bit and key fits
+    event_row: np.ndarray  # per event bit, in the smallest unsigned dtype
+    indptr: np.ndarray  # int64
+    par: np.ndarray  # in the smallest unsigned dtype
     # sets of one Generator per stream, re-keyed each chunk, that no call is
     # using: a call takes one set, or makes one if none is free, and puts it
     # back, so calls from several threads never share a generator
     idle: list
 
 
-def _noise_streams(circuit: CircuitProgram, ops) -> _Streams:
-    """The noise streams of the compiled ops (see _Streams)."""
+def _noise_streams(circuit: CircuitProgram, ops, slices) -> _Streams:
+    """The noise streams of the compiled ops and their event table, built
+    one kernel column per stretch of event bits, each bit injected just
+    after its op (see _Streams)."""
     n = circuit.n_qubits
-    # per op, the slot just before the first op from it on that clears or
-    # reads frame rows; Pauli ops act only through injections
-    before = [2 * len(ops) - 1] * (len(ops) + 1)
-    for i in range(len(ops) - 1, -1, -1):
-        before[i] = before[i + 1] if ops[i][0] == _PAULI else 2 * i
-    fields, rows = [], [np.zeros((0, 4), dtype=np.int32)]
+    fields, rows = [], [np.zeros((0, 4), dtype=np.int64)]
     for i, op in enumerate(ops):
         if op[0] == _PAULI and op[2] > 0 and op[3].size:
             _, ann, p, cells = op
             # the last qubit of a cell takes code bits 0 (X) and 1 (Z), as
-            # its Pauli is the low two bits of the term
+            # its Pauli is the low two bits of the term; -1 marks no bit
             k = cells.shape[1]
-            r = np.zeros((len(cells), 4), dtype=np.int32)
+            r = np.full((len(cells), 4), -1)
             r[:, 0 : 2 * k : 2] = cells[:, ::-1]
             r[:, 1 : 2 * k : 2] = cells[:, ::-1] + n
-            fields.append((ann, p, 4**k - 1, len(cells), before[i]))
+            fields.append((ann, p, 4**k - 1, len(cells), 2 * i + 1))
         elif op[0] == _MEASURE and op[2] > 0 and op[4]:
             _, ann, flip_p, rec, nprod = op[:5]
-            r = np.zeros((nprod, 4), dtype=np.int32)
+            r = np.full((nprod, 4), -1)
             r[:, 0] = 2 * n + rec + np.arange(nprod)
-            fields.append((ann, flip_p, 1, nprod, before[i + 1]))
+            fields.append((ann, flip_p, 1, nprod, 2 * i + 1))
         else:
             continue
         rows.append(r)
     ann, p, n_types, cells, slot = zip(*fields) if fields else ((),) * 5
     cells = np.array(cells, dtype=np.int64)
-    rows = np.concatenate(rows)
-    widest = max(_CHUNK * cells.max(initial=0), 4 * len(rows))
+    rows = np.concatenate(rows).reshape(-1)  # per event bit
+    bits = np.flatnonzero(rows >= 0)
+    n_bits, rows = rows.size, rows[bits]
+    slot = np.repeat(np.array(slot, dtype=np.int64), 4 * cells)[bits]
+    stretch, indptr, par = _stretch_signatures(circuit, ops, slices, slot, rows)
+    event_row = np.zeros(n_bits, dtype=np.min_scalar_type(indptr.size - 1))
+    event_row[bits] = stretch
+    n_par = slices[-1][1] if slices else 0
+    widest = max(_CHUNK * cells.max(initial=0), n_bits, _CHUNK * n_par)
     index = np.int32 if widest < 2**31 else np.int64
     return _Streams(
         key=np.array(ann, dtype=np.uint64) << np.uint64(24),
@@ -381,9 +468,10 @@ def _noise_streams(circuit: CircuitProgram, ops) -> _Streams:
         n_types=list(n_types),
         cells=cells,
         first=(np.cumsum(cells) - cells).astype(index),
-        slot=np.array(slot, dtype=np.int32),
-        rows=rows,
         index=index,
+        event_row=event_row,
+        indptr=indptr,
+        par=par,
         idle=[],
     )
 
@@ -404,9 +492,9 @@ def _more_gaps(rng, last: int, expect: int, n_cells: int, logq) -> list[np.ndarr
             last = int(run[-1])
 
 
-def _noise_injections(streams: _Streams, gens: list, seed: int, chunk: int, w: int):
-    """One chunk's noise events on w shots as _propagate injections: int32
-    (slot, row, col), ascending in slot.
+def _noise_events(streams: _Streams, gens: list, seed: int, chunk: int, w: int):
+    """One chunk's noise events on w shots as (event bit, shot) pairs, the
+    shots in the index dtype (see _Streams).
 
     Stream s draws from gens[s], its Philox re-keyed on (seed, annotation
     index << 24 XOR chunk) with a zero counter.  A stream with p < _DENSE_P
@@ -491,35 +579,29 @@ def _noise_injections(streams: _Streams, gens: list, seed: int, chunk: int, w: i
     code += 1
 
     # decode, event-level arrays in the index dtype and each freed once
-    # used: an injection per set bit of an event's code, in event order
+    # used: an event bit per set bit of an event's code, in event order
     shot, cell = np.divmod(pos, streams.cells.astype(streams.index)[stream])
     del pos
     cell += streams.first[stream]
     cell *= 4
-    slot = streams.slot[stream]
     del stream
     bit = np.flatnonzero(np.take(_CODE_BITS, code, axis=0))  # 4 event + code bit
     del code
     event = bit >> 2
     bit &= 3
     bit += np.take(cell, event)
-    del cell
-    row = np.take(streams.rows, bit)
-    del bit
-    return np.take(slot, event), row, np.take(shot, event).astype(np.int32, copy=False)
+    return bit, np.take(shot, event)
 
 
 def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
     """Sample detector and observable frame bits under the annotated noise.
 
     Each chunk of up to _CHUNK shots draws its noise events in one batched
-    pass over the program's noise streams (see _noise_injections) and runs
-    them through _propagate once.  Pauli events are injected into frame
-    rows and outcome flips into record rows, each just before the first
-    later op that clears or reads frame rows (or at the end), so the kernel
-    flips bits once per such op rather than once per noise op.  The streams'
-    tables and generators are built on the first call and kept on the
-    program (see _Streams).
+    pass (see _noise_events) and adds up their event bits' table rows in
+    the output, _EVENT_BATCH bits at a time.  The first call on a program
+    builds the streams and the event table once, one kernel column per
+    stretch of event bits (see _Streams), and keeps them on the program
+    until its instructions, detectors or observables are other objects.
 
     Deterministic for fixed (circuit, seed, shots); all-zero output for a
     noiseless circuit.  Raises ValueError unless shots is an integer >= 1
@@ -535,7 +617,10 @@ def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
         raise ValueError("shots must be positive")
     ops, slices = _compiled(circuit)
     sources = (circuit.instructions, circuit.n_qubits, circuit.n_records)
-    streams = circuit.cached("noise", sources, lambda: _noise_streams(circuit, ops))
+    sources += (circuit.detectors, circuit.observables)
+    streams = circuit.cached(
+        "noise", sources, lambda: _noise_streams(circuit, ops, slices)
+    )
     n_det = circuit.n_detectors
     n_obs = circuit.n_observables
 
@@ -549,16 +634,22 @@ def sample_shots(circuit: CircuitProgram, seed: int, shots: int) -> ShotBatch:
     try:
         for chunk_idx, lo in enumerate(range(0, shots, _CHUNK)):
             w = min(_CHUNK, shots - lo)
-            injections = _noise_injections(streams, gens, seed, chunk_idx, w)
-            bits = _propagate(circuit, ops, slices, w, *injections)
-            del injections
-            # little-endian words: bit j of byte i is shot 8i + j, so row i
-            # of the transposed bytes unpacks into output rows 8i + j
-            by = np.ascontiguousarray(bits.view(np.uint8).T)
-            for out, part in ((det_out, by[:, :n_det]), (obs_out, by[:, n_det:])):
-                for j in range(8):
-                    dst = out[lo + j : lo + w : 8]
-                    np.bitwise_and(part[: len(dst)] >> j, 1, out=dst)
+            bits, shot = _noise_events(streams, gens, seed, chunk_idx, w)
+            dets, obs = det_out[lo : lo + w], obs_out[lo : lo + w]
+            for a in range(0, bits.size, _EVENT_BATCH):
+                rows = streams.event_row[bits[a : a + _EVENT_BATCH]]
+                pos, length = _gather(streams.indptr, rows)
+                par = streams.par[pos]
+                at = np.repeat(shot[a : a + _EVENT_BATCH], length)
+                det = par < n_det
+                for out, keys in (
+                    (dets, at[det] * n_det + par[det]),
+                    (obs, at[~det] * n_obs + (par[~det] - n_det)),
+                ):
+                    # a uint8 array of ones keeps ufunc.at on its fast path
+                    np.add.at(out.reshape(-1), keys, np.ones(keys.size, np.uint8))
+            dets &= 1
+            obs &= 1
     finally:
         streams.idle.append(gens)
     return ShotBatch(shots=shots, seed=seed, detectors=det_out, observables=obs_out)
@@ -593,15 +684,6 @@ def _compose(p1, p2):
     """The probability that exactly one of two independent events occurs;
     floats or arrays, with the same operations in the same order."""
     return p1 * (1 - p2) + p2 * (1 - p1)
-
-
-def _gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions indptr[r] .. indptr[r + 1] - 1 of each row r in rows,
-    concatenated, and each row's length."""
-    start = indptr[rows]
-    length = indptr[rows + 1] - start
-    offset = np.repeat(start - (np.cumsum(length) - length), length)
-    return offset + np.arange(offset.size), length
 
 
 class _Signatures(NamedTuple):
@@ -657,39 +739,6 @@ def _record_signatures(circuit: CircuitProgram, slices) -> _Signatures:
     )
 
 
-def _run_columns(circuit: CircuitProgram, ops, slot, row, col, slices):
-    """_propagate over columns, _CHUNK at a time, with no random event:
-    column col[k] gets a one in frame row row[k] at slot[k], the injections
-    sorted by column.  Yields each chunk's first column and parity bits."""
-    n_cols = int(col[-1]) + 1 if col.size else 0
-    for lo in range(0, n_cols, _CHUNK):
-        hi = min(lo + _CHUNK, n_cols)
-        first, end = np.searchsorted(col, (lo, hi)).tolist()
-        order = first + np.argsort(slot[first:end], kind="stable")
-        yield lo, _propagate(
-            circuit, ops, slices, hi - lo, slot[order], row[order], col[order] - lo
-        )
-
-
-def _row_stretches(ops, slot: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Per injection into frame row row[k] at slot[k], an id of the stretch
-    of that row between two ops that read or clear it.  Nothing else acts
-    on a frame row, so injections with one id flip the same parities."""
-    n_slots = 2 * len(ops)
-    events = [np.empty(0, dtype=np.int64)]  # row * n_slots + slot just after
-    for i, op in enumerate(ops):
-        if op[0] == _CLEAR:
-            events.append(op[1] * n_slots + 2 * i + 1)
-        elif op[0] == _MEASURE:
-            events.append(op[5] * n_slots + 2 * i + 1)
-    events = np.unique(np.concatenate(events))
-    # the count of events up to an injection tells its stretch only together
-    # with its row: one row's last stretch and the next row's first count
-    # the same events
-    before = np.searchsorted(events, row * n_slots + slot, "right")
-    return row * (events.size + 1) + before
-
-
 def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
     """Run the compiled ops over atom columns (see _propagate).
 
@@ -697,9 +746,8 @@ def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
     a Z column per qubit, in cell order, just before the instruction.  Each
     product of a MeasurePP with flip_p > 0 gets a Pauli on its first qubit
     that anticommutes with the product there, in one column just before
-    the measurement and in one just after it, in product order.  Only the
-    first column of each stretch of a frame row (see _row_stretches) is
-    run; the others copy its signature.
+    the measurement and in one just after it, in product order.  Columns
+    on one stretch of a frame row share one run (see _stretch_signatures).
     """
     n = circuit.n_qubits
     slot, rows = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -723,38 +771,15 @@ def _atom_columns(circuit: CircuitProgram, ops, slices) -> _Columns:
         rows.append(r)
     slot = np.concatenate(slot)
     rows = np.concatenate(rows)
-    _, first, inverse = np.unique(
-        _row_stretches(ops, slot, rows), return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    run = first[order]  # the first column of each stretch, in slot order
-    copy_of = np.empty_like(order)
-    copy_of[order] = np.arange(order.size)
-    copy_of = copy_of[inverse.reshape(-1)]  # per column, its place in run
-
-    items, pars = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo, bits in _run_columns(
-        circuit, ops, slot[run], rows[run], np.arange(run.size), slices
-    ):
-        # unpack only the non-zero words: bit j of word w is column 64w + j
-        par, word = np.nonzero(bits)
-        hit, bit = np.nonzero(
-            np.unpackbits(
-                bits[par, word].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-            )
-        )
-        items.append(lo + 64 * word[hit] + bit)
-        pars.append(par[hit])
-    items = np.concatenate(items)
-    pars = np.concatenate(pars)
-    order = np.lexsort((pars, items))
+    stretch, indptr, par = _stretch_signatures(circuit, ops, slices, slot, rows)
+    n_runs = indptr.size - 1
     sigs = _Signatures.from_pairs(
-        run.size, items[order], pars[order], circuit.n_detectors
+        n_runs, np.repeat(np.arange(n_runs), np.diff(indptr)), par, circuit.n_detectors
     )
-    pos, length = _gather(sigs.indptr, copy_of)
-    indptr = np.zeros(copy_of.size + 1, dtype=np.int64)
+    pos, length = _gather(sigs.indptr, stretch)
+    indptr = np.zeros(stretch.size + 1, dtype=np.int64)
     np.cumsum(length, out=indptr[1:])
-    sigs = _Signatures(indptr, sigs.dets[pos], sigs.masks[copy_of])
+    sigs = _Signatures(indptr, sigs.dets[pos], sigs.masks[stretch])
     return _Columns(slot, rows, sigs)
 
 

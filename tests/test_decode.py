@@ -206,6 +206,25 @@ def test_decode_syndrome_rejects_bad_input(graph, syndrome):
         decode_syndrome(graph, np.asarray(syndrome))
 
 
+def test_context_of_another_graph_raises():
+    """A context answers for the graph it was built from: on a graph of three
+    boundary edges, _CHAIN's tables would pair 0 with 1 at weight 1.0, where
+    the graph's own answer is two boundary matches at weight 2.0."""
+    chain = _graph(3, _CHAIN)
+    boundary = _graph(3, [(0, -1, 1, 0), (1, -1, 1, 0), (2, -1, 1, 0)])
+    syndrome = np.array([1, 1, 0], dtype=np.uint8)
+    ctx = DecoderContext(chain)
+    with pytest.raises(DecodeError, match="another graph"):
+        decode_syndrome(boundary, syndrome, ctx)
+    batch = ShotBatch(1, 0, syndrome[None], np.zeros((1, 2), dtype=np.uint8))
+    with pytest.raises(DecodeError, match="another graph"):
+        decode_batch(boundary, batch, ctx)
+    got = decode_syndrome(boundary, syndrome)
+    assert got.matched_pairs == ((-1, 0), (-1, 1))
+    assert got.total_weight == pytest.approx(2.0, abs=1e-5)
+    assert decode_syndrome(chain, syndrome, ctx).matched_pairs == ((0, 1),)
+
+
 def test_decode_batch_rejects_non_binary_detectors():
     graph = _graph(3, _CHAIN)
     detectors = np.array([[1, 0, 0], [2, 0, 0]], dtype=np.uint8)

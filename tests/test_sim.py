@@ -21,7 +21,7 @@ from floqnet.circuit import (
     build_memory_circuit,
     validate_determinism,
 )
-from floqnet.lattice import generate_honeycomb_torus
+from floqnet.lattice import fine_grain, generate_honeycomb_torus
 from floqnet.partition import partition_code
 from floqnet.sim import ShotBatch, sample_shots
 
@@ -101,7 +101,13 @@ def _assert_same(a: ShotBatch, b: ShotBatch) -> None:
     assert np.array_equal(a.observables, b.observables)
 
 
-@pytest.mark.parametrize("name", ["local3", "dist6"])
+@pytest.fixture(scope="module")
+def dense3():
+    # every stream at p >= _DENSE_P: no sparse block is drawn
+    return _compiled(3, None, NoiseParams(sim._DENSE_P, 0.1))
+
+
+@pytest.mark.parametrize("name", ["local3", "dist6", "dense3"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matches_reference_on_compiled_circuits(request, name, seed):
     circuit = request.getfixturevalue(name)
@@ -245,18 +251,76 @@ def test_benchmark_circuits_sample_golden_bits(L, n_qpu, rounds):
     assert digests == GOLDEN[L, n_qpu, rounds]
 
 
-def test_sampling_extraction_and_certification_walk_one_kernel(monkeypatch, local3):
+def test_sampling_extraction_and_certification_walk_one_kernel(monkeypatch):
+    """The first sample_shots call on a program walks the kernel to build
+    its event table; later calls only add up table rows."""
+    circuit = _compiled(3, None, NoiseParams(3e-4, 1e-2))
     calls = []
     kernel = sim._propagate
     monkeypatch.setattr(sim, "_propagate", lambda *a: calls.append(1) or kernel(*a))
-    sample_shots(local3, 0, sim._CHUNK + 1)
-    assert len(calls) == 2  # one per chunk of shots
-    calls.clear()
-    sim.extract_decoding_graph(local3)
+    sample_shots(circuit, 0, sim._CHUNK + 1)
     assert calls
     calls.clear()
-    assert validate_determinism(local3).ok
+    sample_shots(circuit, 1, sim._CHUNK + 1)
+    assert not calls
+    sim.extract_decoding_graph(circuit)
     assert calls
+    calls.clear()
+    assert validate_determinism(circuit).ok
+    assert calls
+
+
+def _event_bits(circuit: CircuitProgram):
+    """(event bit, slot, state row) of every event bit, read from the
+    instructions: bits 0 and 1 of a noise cell are X and Z on its last
+    qubit, bits 2 and 3 on its first, and bit 0 of a noisy product flips
+    its record, each injected just after the instruction."""
+    n = circuit.n_qubits
+    out, cell, rec = [], 0, 0
+    for i, instr in enumerate(circuit.instructions):
+        if isinstance(instr, (Depolarize1, Depolarize2)) and instr.p > 0:
+            cells = instr.targets if isinstance(instr, Depolarize1) else instr.pairs
+            for qubits in cells:
+                qubits = np.atleast_1d(qubits)[::-1].tolist()
+                for b, q in enumerate(qubits):
+                    out.append((4 * cell + 2 * b, 2 * i + 1, q))
+                    out.append((4 * cell + 2 * b + 1, 2 * i + 1, q + n))
+                cell += 1
+        elif isinstance(instr, MeasurePP) and instr.flip_p > 0:
+            for j in range(len(instr.products)):
+                out.append((4 * cell, 2 * i + 1, 2 * n + rec + j))
+                cell += 1
+        rec += len(instr.products) if isinstance(instr, MeasurePP) else 0
+    return np.array(out, dtype=np.int64).reshape(-1, 3).T
+
+
+@pytest.fixture(scope="module")
+def fine3x3():
+    lat = fine_grain(generate_honeycomb_torus(3, 3), 2)
+    return build_memory_circuit(lat, None, NoiseParams(3e-3, 2e-2), 1)
+
+
+@pytest.mark.parametrize("name", ["dist6", "fine3x3"])
+def test_event_table_matches_one_event_oracle(request, name):
+    """Each event bit injected alone through the kernel flips the parity
+    rows its table row lists, and only those."""
+    circuit = request.getfixturevalue(name)
+    sample_shots(circuit, 0, 1)
+    streams = circuit.kernel_cache["noise"][1]
+    bit, slot, row = _event_bits(circuit)
+    assert bit.size and bit.max() < streams.event_row.size
+    ops, slices = sim._compiled(circuit)
+    n_par = circuit.n_detectors + circuit.n_observables
+    want = np.zeros((bit.size, n_par), dtype=bool)
+    for k, b in enumerate(bit.tolist()):
+        r = int(streams.event_row[b])
+        want[k, streams.par[streams.indptr[r] : streams.indptr[r + 1]]] = True
+    for lo, par in sim._run_columns(
+        circuit, ops, slot, row, np.arange(bit.size), slices
+    ):
+        got = np.unpackbits(par.view(np.uint8), axis=1, bitorder="little")
+        hi = min(lo + sim._CHUNK, bit.size)
+        assert np.array_equal(got[:, : hi - lo].T.astype(bool), want[lo:hi])
 
 
 def test_threads_sampling_one_program_get_their_own_bits():
@@ -297,6 +361,8 @@ def test_noiseless_circuit_samples_zeros():
     assert batch.detectors.shape == (4097, circuit.n_detectors)
     assert batch.observables.shape == (4097, circuit.n_observables)
     assert not batch.detectors.any() and not batch.observables.any()
+    streams = circuit.kernel_cache["noise"][1]
+    assert streams.event_row.size == streams.par.size == 0
 
 
 def test_same_seed_same_bits(dist6):
